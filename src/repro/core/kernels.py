@@ -26,17 +26,17 @@ Two structural tricks carry the gDiff kernels:
 
 * **Lazy difference vectors.**  The object path materialises the order-n
   difference vector on every update (to compare against the stored one
-  and to store it back).  But a stored vector is fully determined by
-  ``(actual, i)`` of the pair that stored it: its difference at distance
-  *d* is ``actual - window_i[d]``, and ``window_i`` is just another slice
-  of the values column.  So the kernel stores the two words and compares
-  ``actual_now - window_now[d] == actual_then - window_then[d]`` (as
-  ``actual_now + window_then[d] == actual_then + window_now[d]`` mod
-  2^64) on the fly — per-pair training cost drops from O(order) to
-  O(distances scanned), which the sticky policy usually makes O(1).  The
-  lazily-represented rows are materialised into the flat diff arrays once
-  when the kernel finishes, leaving the table bit-identical to the object
-  path's.
+  and to store it back).  But a stored vector is fully determined by the
+  pair *j* that stored it: its difference at distance *d* is
+  ``a_j - window_j[d]``, and ``window_j`` is just another slice of the
+  values column.  So a row stores only *j*, and a match at *d* is
+  ``window_now[d] - window_j[d] == a_now - a_j`` (mod 2^64).  Both
+  windows are slices of one list, so the scan over every distance is a
+  single C-level ``map(operator.sub, ...)`` over the two slices plus a
+  membership test, and the sticky policy's check is the prediction's own
+  compare.  The lazily-represented rows are materialised into the flat
+  diff arrays once when the kernel finishes, leaving the table
+  bit-identical to the object path's.
 
 Every kernel reproduces the object path exactly — the same
 :class:`~repro.predictors.base.PredictionStats` counters and the same
@@ -53,6 +53,8 @@ checked on every call so tests can toggle it).
 from __future__ import annotations
 
 import os
+from array import array
+from operator import add as _add, sub as _sub
 from typing import Optional
 
 from ..predictors.base import ConstantPredictor, PredictionStats
@@ -169,9 +171,19 @@ def _gdiff_core(table, pcs, values, stats, conf, ring, cap, count0, delay,
     Returns the last selected distance (0 = last update mismatched, None =
     no pairs) for ``last_distance``; the caller syncs queue state.
     """
-    eff0 = count0 - delay
     mask = WORD_MASK
+    wrap = 1 << 64
     n = len(pcs)
+    # X = the queue contents pair 0 can still read, then the column: pair
+    # i's window top GVQ[1] is X[off + i - 1], and its own value is
+    # X[npre + i].
+    npre = order + delay
+    if count0 < npre:
+        npre = count0
+    X = [ring[(count0 + s) % cap] for s in range(-npre, 0)]
+    X += values
+    eff0 = count0 - delay
+    off = npre - delay
 
     unlimited = table.entries is None
     rows_get = table._rows.get
@@ -190,8 +202,8 @@ def _gdiff_core(table, pcs, values, stats, conf, ring, cap, count0, delay,
     occupied = table._occupied
     nrows = table._nrows
     conflicts = 0
-    # Rows stored during this run, kept lazily as (actual, pair index);
-    # materialised into the flat arrays at the end.
+    # Rows stored during this run, kept lazily as the index of the pair
+    # that stored them; materialised into the flat arrays at the end.
     lazy = {}
     lazy_get = lazy.get
 
@@ -209,62 +221,59 @@ def _gdiff_core(table, pcs, values, stats, conf, ring, cap, count0, delay,
             vc = order
         elif vc < 0:
             vc = 0
+        c = off + i
         if unlimited:
             row = rows_get(pc, -1)
             idx = 0
         else:
             idx = (pc >> shift) & emask
             row = idx if present[idx] else -1
-        # -- predict: one (lazy: two) window read at the locked distance
-        predicted = None
-        lz = None
+        # -- predict: one window read at the locked distance
+        hit = False
+        j = -1
         if row >= 0:
-            lz = lazy_get(row)
+            j = lazy_get(row, -1)
             d = dist[row]
             if d and d <= vc:
-                if lz is None:
+                predicted = None
+                if j < 0:
                     if d <= valid[row]:
-                        s = i - delay - d
-                        base = values[s] if s >= 0 \
-                            else ring[(count0 + s) % cap]
-                        predicted = (base + diffs[row * order + d - 1]) & mask
-                else:
-                    a0 = lz[0]
-                    i0 = lz[1]
-                    sv = eff0 + i0
-                    if d <= sv:  # d <= order always holds
-                        s = i - delay - d
-                        base = values[s] if s >= 0 \
-                            else ring[(count0 + s) % cap]
-                        s0 = i0 - delay - d
-                        b0 = values[s0] if s0 >= 0 \
-                            else ring[(count0 + s0) % cap]
-                        predicted = (base + a0 - b0) & mask
-        # -- score (and gate)
-        if predicted is not None:
-            predictions += 1
-            if gated:
-                slot = pc if cunlim else (pc >> cshift) & cmask
-                cur = cget(slot, 0)
-                if predicted == actual:
-                    correct += 1
-                    if cur >= cthr:
-                        confident += 1
-                        confident_correct += 1
-                    cur += cup
-                    if cur > cmax:
-                        cur = cmax
-                else:
-                    if cur >= cthr:
-                        confident += 1
-                    cur -= cdown
-                    if cur < 0:
-                        cur = 0
-                cdata[slot] = cur
-            elif predicted == actual:
-                correct += 1
-        # -- resolve/create the row with lookup_or_create's accounting
-        if row < 0:
+                        predicted = (X[c - d] + diffs[row * order + d - 1]) \
+                            & mask
+                elif d <= eff0 + j:  # d <= order always holds
+                    predicted = (X[c - d] + X[npre + j] - X[off + j - d]) \
+                        & mask
+                # -- score (and gate)
+                if predicted is not None:
+                    predictions += 1
+                    hit = predicted == actual
+                    if gated:
+                        slot = pc if cunlim else (pc >> cshift) & cmask
+                        cur = cget(slot, 0)
+                        if hit:
+                            correct += 1
+                            if cur >= cthr:
+                                confident += 1
+                                confident_correct += 1
+                            cur += cup
+                            if cur > cmax:
+                                cur = cmax
+                        else:
+                            if cur >= cthr:
+                                confident += 1
+                            cur -= cdown
+                            if cur < 0:
+                                cur = 0
+                        cdata[slot] = cur
+                    elif hit:
+                        correct += 1
+            if track and not unlimited:
+                if owner_set[row] and owner[row] != pc:
+                    conflicts += 1
+                owner[row] = pc
+                owner_set[row] = 1
+        else:
+            # -- create the row with lookup_or_create's accounting
             if unlimited:
                 if nrows * order == len(diffs):
                     table._nrows = nrows
@@ -285,91 +294,66 @@ def _gdiff_core(table, pcs, values, stats, conf, ring, cap, count0, delay,
             occupied += 1
             dist[row] = 0
             valid[row] = 0
-        elif not unlimited and track:
-            if owner_set[row] and owner[row] != pc:
-                conflicts += 1
-            owner[row] = pc
-            owner_set[row] = 1
-        # -- match & select (paper's update rule), diffs compared lazily
-        if lz is None:
-            sv = valid[row]
-            limit = sv if sv < vc else vc
-            rbase = row * order
-            chosen = 0
-            if sticky:
-                d = dist[row]
-                if 0 < d <= limit:
-                    s = i - delay - d
-                    base = values[s] if s >= 0 else ring[(count0 + s) % cap]
-                    if diffs[rbase + d - 1] == (actual - base) & mask:
-                        chosen = d
-            if not chosen and limit:
-                if farthest:
-                    for d in range(limit, 0, -1):
-                        s = i - delay - d
-                        base = values[s] if s >= 0 \
-                            else ring[(count0 + s) % cap]
-                        if diffs[rbase + d - 1] == (actual - base) & mask:
-                            chosen = d
-                            break
-                else:
-                    for d in range(1, limit + 1):
-                        s = i - delay - d
-                        base = values[s] if s >= 0 \
-                            else ring[(count0 + s) % cap]
-                        if diffs[rbase + d - 1] == (actual - base) & mask:
-                            chosen = d
-                            break
+        # -- match & select (paper's update rule)
+        if hit and sticky:
+            # The prediction already compared the locked distance's
+            # stored difference against this one.
+            chosen = dist[row]
         else:
-            a0 = lz[0]
-            i0 = lz[1]
-            sv = eff0 + i0
-            if sv > order:
-                sv = order
-            limit = sv if sv < vc else vc
             chosen = 0
-            if sticky:
-                d = dist[row]
-                if 0 < d <= limit:
-                    s = i - delay - d
-                    base = values[s] if s >= 0 else ring[(count0 + s) % cap]
-                    s0 = i0 - delay - d
-                    b0 = values[s0] if s0 >= 0 else ring[(count0 + s0) % cap]
-                    if (actual + b0) & mask == (a0 + base) & mask:
-                        chosen = d
-            if not chosen and limit:
-                if farthest:
-                    scan = range(limit, 0, -1)
+            if j < 0:
+                sv = valid[row]
+            else:
+                sv = eff0 + j
+                if sv > order:
+                    sv = order
+            limit = sv if sv < vc else vc
+            if limit > 0:
+                # One C-level pass over distances limit..1 (element k is
+                # distance limit - k).  A row stored in this run at pair j
+                # matches at d iff X[c-d] - X[cj-d] == actual - a_j mod
+                # 2^64; a row stored earlier iff diffs[d] + X[c-d] ==
+                # actual mod 2^64.  Either side spans two residues.
+                if j < 0:
+                    rbase = row * order
+                    scan = list(map(_add, reversed(diffs[rbase:rbase + limit]),
+                                    X[c - limit:c]))
+                    t1 = actual
+                    t2 = actual + wrap
                 else:
-                    scan = range(1, limit + 1)
-                for d in scan:
-                    s = i - delay - d
-                    base = values[s] if s >= 0 else ring[(count0 + s) % cap]
-                    s0 = i0 - delay - d
-                    b0 = values[s0] if s0 >= 0 else ring[(count0 + s0) % cap]
-                    if (actual + b0) & mask == (a0 + base) & mask:
-                        chosen = d
-                        break
+                    cj = off + j
+                    scan = list(map(_sub, X[c - limit:c],
+                                    X[cj - limit:cj]))
+                    t1 = (actual - X[npre + j]) & mask
+                    t2 = t1 - wrap
+                if t1 in scan or t2 in scan:
+                    if not farthest:
+                        scan.reverse()  # nearest first: element k is k + 1
+                    k = min(scan.index(t) for t in (t1, t2) if t in scan)
+                    chosen = limit - k if farthest else k + 1
         if chosen:
             dist[row] = chosen
             if refresh:
-                lazy[row] = (actual, i)
+                lazy[row] = i
             last_sel = chosen
         else:
-            lazy[row] = (actual, i)
+            lazy[row] = i
             last_sel = 0
         i += 1
 
     # -- materialise lazily-stored rows into the flat diff arrays
-    for row, (a0, i0) in lazy.items():
-        sv = eff0 + i0
+    for row, j in lazy.items():
+        sv = eff0 + j
         if sv > order:
             sv = order
-        rbase = row * order
-        for dd in range(sv):
-            s = i0 - delay - 1 - dd
-            base = values[s] if s >= 0 else ring[(count0 + s) % cap]
-            diffs[rbase + dd] = (a0 - base) & mask
+        elif sv < 0:
+            sv = 0
+        if sv:
+            a0 = X[npre + j]
+            cj = off + j
+            rbase = row * order
+            diffs[rbase:rbase + sv] = array(
+                "Q", [(a0 - b) & mask for b in reversed(X[cj - sv:cj])])
         valid[row] = sv
 
     table.accesses += n

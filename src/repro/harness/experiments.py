@@ -328,7 +328,7 @@ def fig18(length: int = PROFILE_LENGTH,
         miss_filter = None
         if missing_only:
             dcache = Cache(ProcessorConfig().dcache)
-            miss_filter = lambda insn: not dcache.access(insn.addr)
+            miss_filter = lambda addr: not dcache.access(addr)
         stats = run_address_prediction(trace, predictors,
                                        miss_filter=miss_filter)
         result.add_row(

@@ -25,6 +25,7 @@ forces the non-kernel loops.
 from __future__ import annotations
 
 import itertools
+from array import array
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..core.kernels import run_pairs as _kernel_pairs
@@ -266,13 +267,15 @@ def run_address_prediction(
     Args:
         trace: instruction stream.
         predictors: {name: predictor}.
-        miss_filter: optional callable ``(insn) -> bool``; when given, the
-            run is restricted to loads for which it returns True (used with
-            a D-cache model to evaluate *missing* loads only — the
-            predictors then see, learn from, and are scored on exactly the
-            miss-address stream, the stream a prefetcher would act on).
-            A miss filter forces the generic instruction-object loop (the
-            filter inspects instructions and is usually stateful).
+        miss_filter: optional predicate ``(addr) -> bool`` on a load's
+            effective address; when given, the run is restricted to loads
+            for which it returns True (used with a D-cache model to
+            evaluate *missing* loads only — the predictors then see, learn
+            from, and are scored on exactly the miss-address stream, the
+            stream a prefetcher would act on).  It is called once per load,
+            in program order, so a stateful filter sees the whole load
+            stream.  On a packed trace it filters the load columns up
+            front and the filtered columns take the fast path.
 
     Returns:
         {predictor name: PredictionStats}.
@@ -282,8 +285,12 @@ def run_address_prediction(
         name: None if isinstance(p, MarkovPredictor) else ConfidenceTable()
         for name, p in predictors.items()
     }
-    if miss_filter is None and hasattr(trace, "load_pairs"):
+    if hasattr(trace, "load_pairs"):
         pcs, addrs = trace.load_pairs()
+        if miss_filter is not None:
+            keep = list(map(miss_filter, addrs))
+            pcs = array("Q", itertools.compress(pcs, keep))
+            addrs = array("Q", itertools.compress(addrs, keep))
         for name, predictor in predictors.items():
             conf = confidence[name]
             if conf is None or not _kernel_pairs(predictor, pcs, addrs,
@@ -294,7 +301,7 @@ def run_address_prediction(
     for insn in trace:
         if insn.op is not OpClass.LOAD:
             continue
-        if miss_filter is not None and not miss_filter(insn):
+        if miss_filter is not None and not miss_filter(insn.addr):
             continue
         pc, actual = insn.pc, insn.addr
         for name, predictor in items:

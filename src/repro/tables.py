@@ -134,8 +134,10 @@ class SetAssociativeTable:
         self.entries = entries
         self.ways = ways
         self.sets = entries // ways
-        # Each set is an ordered list of (tag, payload); index 0 is MRU.
-        self._sets: List[List[Tuple[int, Any]]] = [[] for _ in range(self.sets)]
+        # Set index -> ordered list of (tag, payload), index 0 is MRU.  A
+        # set is allocated on its first insert, so a 256K-entry table costs
+        # nothing until it holds something.
+        self._sets: Dict[int, List[Tuple[int, Any]]] = {}
         self.accesses = 0
         self.hits = 0
 
@@ -145,7 +147,9 @@ class SetAssociativeTable:
     def lookup(self, key: int) -> Optional[Any]:
         """Return the payload stored under *key*, or ``None`` on tag miss."""
         self.accesses += 1
-        bucket = self._sets[self._set_index(key)]
+        bucket = self._sets.get(self._set_index(key))
+        if bucket is None:
+            return None
         for pos, (tag, payload) in enumerate(bucket):
             if tag == key:
                 self.hits += 1
@@ -156,7 +160,11 @@ class SetAssociativeTable:
 
     def insert(self, key: int, payload: Any) -> None:
         """Insert or update *key* -> *payload*, evicting LRU on overflow."""
-        bucket = self._sets[self._set_index(key)]
+        index = self._set_index(key)
+        bucket = self._sets.get(index)
+        if bucket is None:
+            self._sets[index] = [(key, payload)]
+            return
         for pos, (tag, _) in enumerate(bucket):
             if tag == key:
                 bucket.pop(pos)
@@ -172,7 +180,6 @@ class SetAssociativeTable:
         return self.hits / self.accesses
 
     def clear(self) -> None:
-        for bucket in self._sets:
-            bucket.clear()
+        self._sets.clear()
         self.accesses = 0
         self.hits = 0

@@ -13,7 +13,11 @@ from repro.predictors import (
     MarkovPredictor,
     StridePredictor,
 )
+from repro.pipeline.cache import Cache
+from repro.pipeline.config import ProcessorConfig
 from repro.trace import ialu, load
+from repro.trace.cache import cached_trace
+from repro.trace.packed import PackedTrace
 
 
 def stride_trace(n=50):
@@ -75,10 +79,10 @@ class TestRunAddressPrediction:
     def test_miss_filter_restricts_stream(self):
         seen = []
 
-        def only_even(insn):
-            keep = (insn.addr // 64) % 2 == 0
+        def only_even(addr):
+            keep = (addr // 64) % 2 == 0
             if keep:
-                seen.append(insn.addr)
+                seen.append(addr)
             return keep
 
         stats = run_address_prediction(
@@ -87,6 +91,35 @@ class TestRunAddressPrediction:
         assert stats["s"].attempts == len(seen) == 20
         # The filtered stream has stride 128: still predictable.
         assert stats["s"].raw_accuracy > 0.8
+
+    def test_packed_miss_filter_runs_on_columns(self, monkeypatch):
+        """A packed trace with a stateful D-cache filter never builds an
+        Instruction, and scores exactly what the generic loop does."""
+        trace = cached_trace("mcf", 6000)
+        reference = trace.to_trace()
+
+        def run(source):
+            dcache = Cache(ProcessorConfig().dcache)
+            predictors = {
+                "ls": StridePredictor(entries=4096),
+                "gs": GDiffPredictor(order=32, entries=4096),
+                "markov": MarkovPredictor(entries=4096, ways=4),
+            }
+            stats = run_address_prediction(
+                source, predictors,
+                miss_filter=lambda addr: not dcache.access(addr))
+            return {name: vars(s) for name, s in stats.items()}, \
+                (dcache.accesses, dcache.misses)
+
+        expected = run(reference)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("packed miss-filter run built Instructions")
+
+        monkeypatch.setattr(PackedTrace, "__iter__", refuse)
+        monkeypatch.setattr(PackedTrace, "instruction_at", refuse)
+        assert run(trace) == expected
+        assert 0 < expected[0]["gs"]["attempts"] < len(trace.load_pairs()[0])
 
     def test_ignores_non_loads(self):
         trace = [ialu(0x10, 1, 5)] * 10

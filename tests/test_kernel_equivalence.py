@@ -16,7 +16,7 @@ import random
 import pytest
 
 from repro.core import GDiffPredictor, GDiffTable, HybridGDiffPredictor
-from repro.core.gvq import GlobalValueQueue
+from repro.core.gvq import GlobalValueQueue, SlottedValueQueue
 from repro.core.kernels import kernels_enabled, run_pairs
 from repro.harness.runner import run_value_prediction
 from repro.predictors import (
@@ -104,6 +104,37 @@ PREDICTOR_FACTORIES = {
 }
 
 
+def table_rows(table):
+    """Every row of a flat gDiff table, as the two paths must leave it.
+
+    Per row: the valid length and the valid prefix of the stored
+    differences (words past it are unreachable scratch), the locked
+    distance and the written flag, plus the aliasing owner for bounded
+    tables.  Unlimited rows are numbered in first-occurrence order, so the
+    PC -> row mapping is compared as well.
+    """
+    order = table.order
+    bounded = table.entries is not None
+    nrows = table.entries if bounded else table._nrows
+    rows = []
+    for row in range(nrows):
+        valid = table._valid[row]
+        entry = (valid, tuple(table._diffs[row * order:row * order + valid]),
+                 table._dist[row], table._present[row])
+        if bounded:
+            entry += (table._owner[row], table._owner_set[row])
+        rows.append(entry)
+    return {"rows": rows, "row_of_pc": sorted(table._rows.items())}
+
+
+def _slots(entry):
+    """A local-predictor table entry as a comparable tuple."""
+    slots = getattr(entry, "__slots__", None)
+    if slots is None:
+        return entry
+    return tuple(getattr(entry, name) for name in slots)
+
+
 def end_state(predictor):
     """Observable predictor state the two paths must agree on."""
     state = {}
@@ -114,13 +145,23 @@ def end_state(predictor):
         state["occupied"] = table.occupied()
         state["locked"] = sorted(table.locked_distances().items())
         state["last_distance"] = predictor.last_distance
+        state["table"] = table_rows(table)
     queue = getattr(predictor, "queue", None)
     if isinstance(queue, GlobalValueQueue):
         state["window"] = queue.visible()
+    elif isinstance(queue, SlottedValueQueue):
+        seq = queue.total_allocated
+        state["slots"] = (seq, [queue.get(seq, d)
+                                for d in range(1, queue.size + 1)])
     for attr in ("_table", "_l1"):
         inner = getattr(predictor, attr, None)
         if inner is not None:
             state[attr + ".accesses"] = inner.accesses
+            state[attr + ".data"] = sorted(
+                (idx, _slots(entry)) for idx, entry in inner._data.items())
+    filler = getattr(predictor, "filler", None)
+    if filler is not None:  # HGVQ: the filler is trained in its own pass
+        state["filler"] = end_state(filler)
     if isinstance(predictor, DFCMPredictor):
         state["l2"] = sorted(predictor._l2.items())
     return state
@@ -147,6 +188,55 @@ def test_kernel_matches_object_path(name, seed, gated, monkeypatch):
                            monkeypatch, gated)
         assert results["0"] == results["1"], (
             f"{name} diverged on seed={seed} length={length} gated={gated}")
+
+
+CHAINED = sorted(name for name in PREDICTOR_FACTORIES
+                 if name.startswith(("gdiff", "hgvq")))
+
+
+def split_points(predictor, length):
+    """Chunk boundaries around the queue's warm-up: 1, T, n + T, middle."""
+    queue = predictor.queue
+    delay = queue.delay if isinstance(queue, GlobalValueQueue) else 0
+    return sorted({1, delay, predictor.order + delay, length // 2} - {0})
+
+
+@pytest.mark.parametrize("name", CHAINED)
+@pytest.mark.parametrize("gated", [False, True], ids=["ungated", "gated"])
+def test_kernel_matches_object_path_chained(name, gated, monkeypatch):
+    """Two chained runs, split where the window is still filling."""
+    factory = PREDICTOR_FACTORIES[name]
+    pairs = random_pairs(4, 400)
+    for split in split_points(factory(), len(pairs)):
+        results = {}
+        for flag in ("0", "1"):
+            monkeypatch.setenv("REPRO_KERNELS", flag)
+            predictor = factory()
+            runs = []
+            for chunk in (pairs[:split], pairs[split:]):
+                stats = run_value_prediction(packed_from_pairs(chunk),
+                                             {"p": predictor}, gated=gated)
+                runs.append(stats_tuple(stats["p"]))
+            results[flag] = (runs, end_state(predictor))
+        assert results["0"] == results["1"], f"{name} diverged at {split}"
+
+
+def test_row_stored_before_delayed_window_opens(monkeypatch):
+    """A row last stored in the first ``delay`` pairs has no valid diffs.
+
+    Regression: the kernel wrote ``valid = position - delay`` unclamped,
+    which overflowed the unsigned column.
+    """
+    pairs = [(4, 1), (8, 2), (4, 3)]
+    results = {}
+    for flag in ("0", "1"):
+        monkeypatch.setenv("REPRO_KERNELS", flag)
+        predictor = GDiffPredictor(order=8, delay=4)
+        stats = run_value_prediction(packed_from_pairs(pairs),
+                                     {"p": predictor})
+        results[flag] = (stats_tuple(stats["p"]), end_state(predictor))
+    assert results["1"][0][0] == 3
+    assert results["0"] == results["1"]
 
 
 class _ReferenceGDiff:

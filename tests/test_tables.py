@@ -1,5 +1,7 @@
 """Tests for the hardware-style table containers."""
 
+import random
+
 import pytest
 
 from repro.tables import DirectMappedTable, SetAssociativeTable
@@ -126,4 +128,51 @@ class TestSetAssociativeTable:
         table = SetAssociativeTable(entries=16, ways=4)
         table.insert(5, "x")
         table.clear()
+        assert not table._sets
         assert table.lookup(5) is None
+
+    def test_lookup_of_unwritten_set_counts_a_miss(self):
+        table = SetAssociativeTable(entries=262144, ways=4)
+        assert table.lookup(12345) is None
+        assert (table.accesses, table.hits) == (1, 0)
+        assert not table._sets  # a lookup allocates nothing
+
+    def test_lazy_sets_match_eager_lru_model(self):
+        """Hits, accesses and LRU eviction on a 256K-entry, 4-way table
+        agree with an eagerly allocated list-per-set model."""
+        entries, ways = 262144, 4
+        nsets = entries // ways
+        table = SetAssociativeTable(entries=entries, ways=ways)
+        model = [[] for _ in range(nsets)]
+        accesses = hits = 0
+        rng = random.Random(18)
+        # Eight tags per set over a few sets, so every set overflows its
+        # ways, plus keys scattered over the whole index range.
+        hot = [s + k * nsets for s in (0, 1, nsets - 1) for k in range(8)]
+        for step in range(20000):
+            key = (rng.choice(hot) if rng.random() < 0.8
+                   else rng.randrange(1 << 40))
+            bucket = model[key % nsets]
+            if rng.random() < 0.5:
+                accesses += 1
+                expect = None
+                for pos, (tag, payload) in enumerate(bucket):
+                    if tag == key:
+                        hits += 1
+                        bucket.insert(0, bucket.pop(pos))
+                        expect = payload
+                        break
+                assert table.lookup(key) == expect, step
+            else:
+                for pos, (tag, _) in enumerate(bucket):
+                    if tag == key:
+                        bucket.pop(pos)
+                        break
+                bucket.insert(0, (key, step))
+                if len(bucket) > ways:
+                    bucket.pop()
+                table.insert(key, step)
+        assert (table.accesses, table.hits) == (accesses, hits)
+        assert hits and hits < accesses
+        live = {idx: bucket for idx, bucket in enumerate(model) if bucket}
+        assert table._sets == live
