@@ -6,7 +6,11 @@ quarantined (a record with the traceback) — while guaranteeing:
 
 * **Resumability**: a cell already in the store is skipped, never
   recomputed; killing a campaign at any instant loses at most the cells
-  in flight.  Completed records are never rewritten on resume.
+  in flight.  Each outcome is recorded the moment it arrives (the
+  ``on_result`` callback of :func:`~repro.harness.parallel.run_tasks`),
+  not when its round ends, so store writes overlap the workers' compute
+  and every finished cell is on disk before the next one lands.
+  Completed records are never rewritten on resume.
 * **Fault isolation**: an exception inside a cell is caught *in the
   worker* and returned as data, retried with capped exponential backoff,
   and finally quarantined — one broken configuration cannot abort the
@@ -365,6 +369,14 @@ class CampaignScheduler:
 
     # -- the main loop ----------------------------------------------------
     def run(self) -> CampaignRunSummary:
+        try:
+            return self._run()
+        finally:
+            # Cells were journalled one line each: leave one index.json,
+            # also when a kill signal or a failed write ends the run.
+            self.store.fold_index()
+
+    def _run(self) -> CampaignRunSummary:
         cells = self.spec.cells()
         summary = CampaignRunSummary(total=len(cells))
         if self.registry is not None:
@@ -407,34 +419,29 @@ class CampaignScheduler:
                 log.info("retry round %d: backing off %.2fs for %d "
                          "cell(s)", round_no, delay, len(batch))
                 time.sleep(delay)
-            if isolate and self.max_workers > 1:
-                # The previous round lost its pool to a crashing worker,
-                # which also breaks innocent siblings' futures.  Re-try
-                # each casualty in a pool of its own so the poisoned cell
-                # can only take itself down.
-                outcomes = []
-                for c in batch:
-                    outcomes.extend(run_tasks(
-                        worker, [c.config()],
-                        max_workers=self.max_workers,
-                        registry=self.registry))
-            else:
-                outcomes = run_tasks(
-                    worker, [c.config() for c in batch],
-                    max_workers=self.max_workers, registry=self.registry)
-            requeue: List[Cell] = []
-            any_failures = False
-            isolate = False
-            for cell, (status, value) in zip(batch, outcomes):
+            requeued: Set[str] = set()
+            failed = crashed = False
+
+            def on_result(cell: Cell, outcome: Tuple[str, Any]) -> None:
+                nonlocal accounted, failed, crashed
+                status, value = outcome
                 attempt = attempts.get(cell.cell_id, 0) + 1
                 attempts[cell.cell_id] = attempt
                 if status == TASK_OK and value[0] == "done":
                     self._record_done(cell, value[1], attempt)
                     summary.completed += 1
                     accounted += 1
-                elif status == TASK_OK:  # soft failure inside the worker
-                    any_failures = True
-                    _kind, error, tb = value
+                else:
+                    failed = True
+                    if status == TASK_OK:  # soft failure inside the worker
+                        _kind, error, tb = value
+                        what, detail = "failed", error
+                    else:  # the worker (or its pool) crashed
+                        crashed = True
+                        summary.crashes += 1
+                        self._count("pool.crash")
+                        error, tb = f"worker crashed: {value}", ""
+                        what, detail = "crashed its worker", value
                     if attempt >= self.retry.max_attempts:
                         self._record_quarantine(cell, error, tb, attempt,
                                                 summary)
@@ -442,31 +449,31 @@ class CampaignScheduler:
                     else:
                         self._count("cells.retried")
                         summary.retried += 1
-                        log.warning("cell %s failed (%s); attempt %d/%d",
-                                    cell.label, error, attempt,
+                        log.warning("cell %s %s (%s); attempt %d/%d",
+                                    cell.label, what, detail, attempt,
                                     self.retry.max_attempts)
-                        requeue.append(cell)
-                else:  # the worker (or its pool) crashed
-                    any_failures = True
-                    isolate = True
-                    summary.crashes += 1
-                    self._count("pool.crash")
-                    if attempt >= self.retry.max_attempts:
-                        self._record_quarantine(
-                            cell, f"worker crashed: {value}", "", attempt,
-                            summary)
-                        accounted += 1
-                    else:
-                        self._count("cells.retried")
-                        summary.retried += 1
-                        log.warning("cell %s crashed its worker (%s); "
-                                    "attempt %d/%d", cell.label, value,
-                                    attempt, self.retry.max_attempts)
-                        requeue.append(cell)
+                        requeued.add(cell.cell_id)
                 if self.on_progress is not None:
                     self.on_progress(accounted, len(cells))
-            pending = requeue + rest
-            round_no = round_no + 1 if any_failures else round_no
+
+            if isolate and self.max_workers > 1:
+                # The previous round lost a worker to a crashing cell.
+                # Re-try each casualty on its own so the poisoned cell
+                # can only take itself down.
+                for c in batch:
+                    run_tasks(worker, [c.config()],
+                              max_workers=self.max_workers,
+                              registry=self.registry,
+                              on_result=lambda _i, o, c=c: on_result(c, o))
+            else:
+                run_tasks(worker, [c.config() for c in batch],
+                          max_workers=self.max_workers,
+                          registry=self.registry,
+                          on_result=lambda i, o: on_result(batch[i], o))
+            # Outcomes arrive in completion order; retries keep grid order.
+            pending = [c for c in batch if c.cell_id in requeued] + rest
+            round_no = round_no + 1 if failed else round_no
+            isolate = crashed
         return summary
 
     def _record_done(self, cell: Cell, outcome: Dict[str, Any],

@@ -5,6 +5,8 @@ Layout of one campaign directory::
     <root>/
       campaign.json            # spec snapshot: identity + resolved cells
       index.json               # {cell_id: summary} for O(1) status lookups
+      index.jsonl              # journal: one [cell_id, summary] line per
+                               #   write since index.json was last folded
       cells/<cell_id>.json     # one completed cell: config, result,
                                #   metrics snapshot, manifest pointer
       quarantine/<cell_id>.json# one poisoned cell: config + traceback
@@ -16,6 +18,14 @@ completely or not at all, which is what makes resumption a pure
 "skip what exists" walk.  Cell files are keyed by the content hash of
 their resolved configuration (:class:`~repro.campaign.spec.Cell`), so the
 store never needs to compare configs — identity *is* the address.
+
+Recording a cell costs O(1) however many cells the store holds: the
+cell's index summary is appended to the ``index.jsonl`` journal instead
+of rewriting ``index.json``.  Loading applies the journal over
+``index.json`` (the last line for a cell wins; a torn line, left by a
+kill mid-append, is ignored and the index rebuilt), and
+:meth:`CampaignStore.fold_index` — run when a scheduler returns — folds
+the journal back into ``index.json``.
 
 The index is a cache: :meth:`CampaignStore.rebuild_index` reconstructs it
 from the cell/quarantine files, and opening a store heals a missing or
@@ -99,6 +109,10 @@ class CampaignStore:
     def index_path(self) -> Path:
         return self.root / "index.json"
 
+    @property
+    def journal_path(self) -> Path:
+        return self.root / "index.jsonl"
+
     def exists(self) -> bool:
         return self.snapshot_path.is_file()
 
@@ -130,8 +144,9 @@ class CampaignStore:
         """Re-read the index from disk.
 
         Live views (``campaign status --watch``) poll a store that a
-        *different* process is writing; rereading the index (with the
-        usual self-heal) picks up cells completed since the last frame.
+        *different* process is writing; rereading the index and its
+        journal (with the usual self-heal) picks up every cell recorded
+        since the last frame.
         """
         self._load_index()
 
@@ -153,16 +168,62 @@ class CampaignStore:
         except (OSError, json.JSONDecodeError):
             self.rebuild_index()
             return
+        torn = self._apply_journal()
         # Self-heal: an index that disagrees with the files on disk (a
-        # crash between a cell write and the index write) is rebuilt.
+        # crash between a cell write and its journal line) is rebuilt.
         on_disk = {p.stem for p in self.cells_dir.glob("*.json")}
         indexed = {cid for cid, e in self._index.items()
                    if e.get("status") == STATUS_DONE}
-        if on_disk != indexed:
+        if torn or on_disk != indexed:
             self.rebuild_index()
 
+    def _apply_journal(self) -> bool:
+        """Apply ``index.jsonl`` over the loaded index, in write order.
+
+        Returns True when a line is torn (a kill mid-append: no newline,
+        or no valid JSON); that line is skipped and the caller rebuilds
+        the index from disk.
+        """
+        torn = False
+        try:
+            with open(self.journal_path, encoding="utf-8") as fh:
+                for line in fh:
+                    try:
+                        if not line.endswith("\n"):
+                            raise ValueError("no newline")
+                        cell_id, entry = json.loads(line)
+                    except (ValueError, TypeError):
+                        torn = True
+                        continue
+                    self._index[cell_id] = entry
+        except FileNotFoundError:
+            pass
+        except (OSError, ValueError):  # unreadable: rebuild from disk
+            torn = True
+        return torn
+
+    def _journal(self, cell_id: str, entry: Dict[str, Any]) -> None:
+        """Append one index entry to the journal (one ``write`` call)."""
+        line = json.dumps([cell_id, entry], separators=(",", ":"),
+                          default=str)
+        with open(self.journal_path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+
+    def fold_index(self) -> None:
+        """Fold the journal into ``index.json`` and drop the journal.
+
+        ``index.json`` is replaced before the journal goes, so a kill in
+        between leaves a journal that re-applies to the same index.
+        """
+        _atomic_write_json(self.index_path, self._index)
+        try:
+            self.journal_path.unlink()
+        except FileNotFoundError:
+            pass
+
     def rebuild_index(self) -> Dict[str, Dict[str, Any]]:
-        """Reconstruct index.json from the cell and quarantine files."""
+        """Reconstruct index.json from the cell and quarantine files
+        (folding away the journal, which those files supersede)."""
         index: Dict[str, Dict[str, Any]] = {}
         for path in sorted(self.quarantine_dir.glob("*.json")):
             record = self._read_record(path)
@@ -174,7 +235,7 @@ class CampaignStore:
             if record is not None:
                 index[path.stem] = self._summarise(record, STATUS_DONE)
         self._index = index
-        _atomic_write_json(self.index_path, index)
+        self.fold_index()
         return index
 
     @staticmethod
@@ -254,7 +315,8 @@ class CampaignStore:
                      duration_s: Optional[float] = None,
                      manifest: Optional[Dict[str, Any]] = None,
                      telemetry: Optional[Dict[str, Any]] = None) -> Path:
-        """Record one completed cell (atomically) and update the index.
+        """Record one completed cell (atomically) and journal its index
+        entry.
 
         A cell that had been quarantined and now succeeded (e.g. a crash
         that a retry on resume survived) leaves quarantine.
@@ -281,8 +343,9 @@ class CampaignStore:
             self.quarantine_path(cell.cell_id).unlink()
         except OSError:
             pass
-        self._index[cell.cell_id] = self._summarise(record, STATUS_DONE)
-        _atomic_write_json(self.index_path, self._index)
+        entry = self._summarise(record, STATUS_DONE)
+        self._index[cell.cell_id] = entry
+        self._journal(cell.cell_id, entry)
         return path
 
     def write_quarantine(self, cell: Cell, error: str,
@@ -301,9 +364,9 @@ class CampaignStore:
         }
         path = self.quarantine_path(cell.cell_id)
         _atomic_write_json(path, record)
-        self._index[cell.cell_id] = self._summarise(record,
-                                                    STATUS_QUARANTINED)
-        _atomic_write_json(self.index_path, self._index)
+        entry = self._summarise(record, STATUS_QUARANTINED)
+        self._index[cell.cell_id] = entry
+        self._journal(cell.cell_id, entry)
         return path
 
     def write_manifest(self, manifest: Dict[str, Any]) -> str:

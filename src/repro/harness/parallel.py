@@ -177,15 +177,30 @@ def _sync_environ(env: Dict[str, str]) -> None:
     os.environ.update(env)
 
 
+#: How often an idle worker checks that its driver is still alive.
+_ORPHAN_POLL_S = 0.5
+
+
 def _pool_worker_main(conn) -> None:  # pragma: no cover - subprocess body
     """Persistent worker loop: apply setup envelopes, run task batches.
 
     Everything module-level survives between batches — that is the point:
     the trace memo, pipeline timing memos, and shared-memory attachments
     stay warm for the worker's whole life.
+
+    A forked worker inherits the driver's end of its own pipe (and of its
+    older siblings' pipes), so a driver killed outright never shows up as
+    EOF here.  An idle worker therefore also exits once it has been
+    reparented; that closes its copy of the resource tracker's pipe, and
+    the tracker can then unlink the dead driver's shared memory.
     """
+    parent = os.getppid()
     while True:
         try:
+            if not conn.poll(_ORPHAN_POLL_S):
+                if os.getppid() != parent:
+                    break
+                continue
             msg = conn.recv()
         except (EOFError, OSError):
             break
@@ -396,9 +411,16 @@ class WorkerPool:
         Returns ``[(status, value)]`` aligned with *items*: ``("ok",
         result)``, ``("raise", exception)`` for an exception *fn* raised in
         a worker, or ``("crash", reason)`` for a worker that died before
-        replying.  A driver-side dispatch failure (unpicklable *fn* or
-        item) raises — after every in-flight task has drained, so a retry
-        or fallback never races stale replies.
+        replying.
+
+        *on_outcome* runs in the driver as each outcome arrives.  A reply
+        that leaves its worker idle first hands that worker its next
+        batch, so the callback's work (a campaign's store write) overlaps
+        the workers instead of stalling one.  A driver-side dispatch
+        failure (unpicklable *fn* or item) or an exception from
+        *on_outcome* stops further dispatch and is raised — after every
+        in-flight task has drained, so the next call on this warm pool
+        never receives stale replies.
         """
         if self._closed:
             raise BrokenProcessPool("worker pool is shut down")
@@ -410,7 +432,8 @@ class WorkerPool:
         # exactly like an explicit ``max_workers`` on the legacy executor.
         want = max(1, min(len(items), workers if workers else self.size))
         pending: List[int] = list(range(len(items) - 1, -1, -1))
-        send_error: Optional[BaseException] = None
+        #: The first dispatch or callback failure, raised after the drain.
+        error: Optional[BaseException] = None
         batch = max(1, batch)
 
         _count(registry, "pool.reuse", min(len(self._workers), want))
@@ -422,19 +445,26 @@ class WorkerPool:
         version, handles = shm.current_table()
 
         def resolve(tid: int, outcome: Tuple[str, Any]) -> None:
+            nonlocal error
             outcomes[tid] = outcome
             if on_outcome is not None:
-                on_outcome(tid, outcome)
+                try:
+                    on_outcome(tid, outcome)
+                except Exception as exc:
+                    if error is None:
+                        error = exc
 
-        def handle(worker: _Worker, msg: Tuple) -> None:
+        def handle(worker: _Worker, msg: Tuple, refill: bool = True) -> None:
             kind, tid, payload = msg
             worker.inflight.remove(tid)
             worker.last_used = time.monotonic()
+            if refill and not worker.inflight and pending and error is None:
+                give(worker)
             resolve(tid, ("ok" if kind == "ok" else "raise", payload))
 
         def reap(worker: _Worker) -> None:
             """A worker died: drain what it sent, crash the rest, replace."""
-            nonlocal send_error
+            nonlocal error
             while True:
                 try:
                     if not worker.conn.poll(0):
@@ -442,7 +472,7 @@ class WorkerPool:
                     msg = worker.conn.recv()
                 except (EOFError, OSError):
                     break
-                handle(worker, msg)
+                handle(worker, msg, refill=False)
             worker.proc.join(timeout=5)
             reason = (f"BrokenProcessPool: worker pid {worker.proc.pid} "
                       f"died (exit {worker.proc.exitcode})")
@@ -459,19 +489,19 @@ class WorkerPool:
                 self._workers.remove(worker)
             if worker in active:
                 active.remove(worker)
-            if pending and send_error is None:
+            if pending and error is None:
                 try:
                     replacement = self._spawn(registry)
                     self._setup(replacement, version, handles, env)
                 except OSError as exc:  # pragma: no cover - fork refused
-                    send_error = exc
+                    error = exc
                 else:
                     active.append(replacement)
                     _count(registry, "pool.replace")
 
         def give(worker: _Worker) -> None:
             """Hand the next batch of pending tasks to an idle worker."""
-            nonlocal send_error
+            nonlocal error
             take = [pending.pop() for _ in range(min(batch, len(pending)))]
             tagged = [(tid, items[tid]) for tid in take]
             try:
@@ -479,7 +509,7 @@ class WorkerPool:
             except (pickle.PicklingError, AttributeError,
                     TypeError) as exc:
                 pending.extend(reversed(take))
-                send_error = exc
+                error = exc
             except OSError:
                 pending.extend(reversed(take))
                 reap(worker)
@@ -500,7 +530,7 @@ class WorkerPool:
                 f"worker setup failed: {exc}") from exc
 
         while True:
-            if send_error is None and pending:
+            if error is None and pending:
                 for worker in list(active):
                     if not pending:
                         break
@@ -512,31 +542,30 @@ class WorkerPool:
             conn_of = {w.conn: w for w in busy}
             sentinel_of = {w.proc.sentinel: w for w in busy}
             ready = _connection_wait(list(conn_of) + list(sentinel_of))
-            reaped: set = set()
             for obj in ready:
+                # A worker reaped earlier in this pass (here, or when a
+                # refill found its pipe gone) has left ``active``.
                 worker = conn_of.get(obj)
                 if worker is not None:
-                    if id(worker) in reaped:
+                    if worker not in active:
                         continue
                     try:
                         msg = worker.conn.recv()
                     except (EOFError, OSError):
-                        reaped.add(id(worker))
                         reap(worker)
                     else:
                         handle(worker, msg)
                     continue
                 worker = sentinel_of[obj]
-                if id(worker) in reaped or not worker.inflight:
+                if worker not in active or not worker.inflight:
                     continue
-                reaped.add(id(worker))
                 reap(worker)
 
         if registry is not None:
             registry.gauge("pool.workers").set(len(self._workers))
         self._schedule_reap()
-        if send_error is not None:
-            raise send_error
+        if error is not None:
+            raise error
         return [outcome or ("crash", "task never completed")
                 for outcome in outcomes]
 
@@ -994,9 +1023,27 @@ def run_tasks(
     Under the persistent pool a crash is contained to the worker that ran
     the item: siblings finish normally and the dead worker is replaced
     in-place, so a crash round no longer breaks innocent futures.
+
+    *on_result* ``(index, outcome)`` runs in the driver as each outcome
+    arrives, on every path (persistent pool, ``fresh`` executor,
+    in-process).  An exception it raises stops further dispatch and
+    propagates once the tasks already running have finished; it is never
+    mistaken for a pool failure.  A pool that fails part-way leaves its
+    finished outcomes in place and only the rest run in-process.
     """
     items = list(items)
     outcomes: List[Optional[Tuple[str, Any]]] = [None] * len(items)
+    callback_errors: List[BaseException] = []
+
+    def report(i: int, outcome: Tuple[str, Any]) -> None:
+        outcomes[i] = outcome
+        if on_result is not None:
+            try:
+                on_result(i, outcome)
+            except Exception as exc:
+                callback_errors.append(exc)
+                raise
+
     if max_workers is None:
         max_workers = default_workers()
     if max_workers > 1 and items:
@@ -1017,15 +1064,15 @@ def run_tasks(
                 else:
                     raised.append(value)
                     return
-                outcomes[tid] = mapped
-                if on_result is not None:
-                    on_result(tid, mapped)
+                report(tid, mapped)
 
             try:
                 get_pool(registry).map_outcomes(
                     fn, items, workers=min(max_workers, len(items)),
                     registry=registry, on_outcome=on_outcome)
             except POOL_FAILURES as exc:
+                if callback_errors:
+                    raise callback_errors[0]
                 log.warning("task pool could not run (%s: %s); "
                             "running tasks in-process",
                             type(exc).__name__, exc)
@@ -1048,25 +1095,26 @@ def run_tasks(
                 with pool:
                     futures = {pool.submit(fn, item): i
                                for i, item in enumerate(items)}
-                    for future in as_completed(futures):
-                        i = futures[future]
-                        try:
-                            outcomes[i] = (TASK_OK, future.result())
-                        except POOL_FAILURES as exc:
-                            outcomes[i] = (
-                                TASK_CRASH, f"{type(exc).__name__}: {exc}")
-                            log.warning("task %d crashed its worker (%s)",
-                                        i, outcomes[i][1])
-                        if on_result is not None:
-                            on_result(i, outcomes[i])
+                    try:
+                        for future in as_completed(futures):
+                            i = futures[future]
+                            try:
+                                outcome = (TASK_OK, future.result())
+                            except POOL_FAILURES as exc:
+                                outcome = (TASK_CRASH,
+                                           f"{type(exc).__name__}: {exc}")
+                                log.warning("task %d crashed its worker "
+                                            "(%s)", i, outcome[1])
+                            report(i, outcome)
+                    except BaseException:
+                        pool.shutdown(wait=True, cancel_futures=True)
+                        raise
                 # Every future resolves through as_completed (a broken pool
                 # resolves the stragglers exceptionally), so no slot is
                 # None.
                 return [outcome or (TASK_CRASH, "task never completed")
                         for outcome in outcomes]
     for i, item in enumerate(items):
-        outcomes[i] = (TASK_OK, fn(item))
-        if on_result is not None:
-            on_result(i, outcomes[i])
-    return [outcome or (TASK_CRASH, "task never completed")
-            for outcome in outcomes]
+        if outcomes[i] is None:
+            report(i, (TASK_OK, fn(item)))
+    return outcomes

@@ -11,6 +11,7 @@ stdout so pipelines can consume it directly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import platform
@@ -25,8 +26,14 @@ from .metrics import MetricsRegistry
 SCHEMA_VERSION = 1
 
 
+@functools.lru_cache(maxsize=None)
 def git_revision(cwd: Optional[str] = None) -> Optional[str]:
-    """Best-effort ``git rev-parse HEAD``; None outside a checkout."""
+    """Best-effort ``git rev-parse HEAD``; None outside a checkout.
+
+    Memoised per process and *cwd*: every campaign cell builds a
+    manifest, and a persistent pool worker would otherwise fork ``git``
+    once per cell for the same answer.
+    """
     try:
         proc = subprocess.run(
             ["git", "rev-parse", "HEAD"],

@@ -14,6 +14,11 @@ The properties that matter, in order of importance:
 """
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -36,8 +41,9 @@ from repro.campaign.scheduler import (
 )
 from repro.campaign.spec import Cell
 from repro.harness.experiments import run_experiment
+from repro.harness.parallel import TASK_OK, run_tasks
 from repro.harness.runner import run_value_prediction
-from repro.telemetry import MetricsRegistry
+from repro.telemetry import MetricsRegistry, manifest
 from repro.core.gdiff import GDiffPredictor
 from repro.trace.workloads import get
 
@@ -53,6 +59,22 @@ def mini_spec(**extra):
     doc = json.loads(json.dumps(MINI))
     doc.update(extra)
     return CampaignSpec.from_dict(doc)
+
+
+def predict_spec(benches=("gcc", "mcf"), entries=(256, 512, 1024),
+                 length=2000):
+    """A predict grid: benches x {stride, last-value} x table sizes."""
+    return CampaignSpec.from_dict({
+        "campaign": {"name": "p"},
+        "defaults": {"kind": "predict", "length": length, "gated": True},
+        "matrix": {"bench": list(benches),
+                   "predictor": ["stride", "last-value"],
+                   "entries": list(entries)},
+    })
+
+
+def _double(x):
+    return x * 2
 
 
 def scheduler(spec, store, **kw):
@@ -213,6 +235,10 @@ class TestStore:
         leftovers = [p for p in store.cells_dir.iterdir()
                      if p.suffix != ".json"]
         assert leftovers == []
+        fresh = CampaignStore(tmp_path / "c")
+        fresh.open()
+        assert fresh.is_done(cell.cell_id)
+        assert fresh.summary(cell.cell_id)["attempts"] == 2
 
     def test_quarantine_then_success_clears_it(self, tmp_path):
         spec = mini_spec()
@@ -226,6 +252,11 @@ class TestStore:
         store.write_result(cell, {"experiment": {}})
         assert store.is_done(cell.cell_id)
         assert not store.quarantine_path(cell.cell_id).exists()
+        # The journal holds both entries; the later one wins.
+        fresh = CampaignStore(tmp_path / "c")
+        fresh.open()
+        assert fresh.status(cell.cell_id) == "done"
+        assert fresh.counts() == {"done": 1, "quarantined": 0}
 
     def test_index_self_heals(self, tmp_path):
         spec = mini_spec()
@@ -243,6 +274,63 @@ class TestStore:
         healed2 = CampaignStore(tmp_path / "c")
         healed2.open()
         assert healed2.is_done(cell.cell_id)
+
+    def test_journal_torn_line_ignored_and_healed(self, tmp_path):
+        spec = predict_spec()
+        cells = spec.cells()
+        store = CampaignStore(tmp_path / "c")
+        store.create(spec)
+        for cell in cells[:3]:
+            store.write_result(cell, {"stats": {}})
+        # A kill mid-append: the third cell's record is on disk but its
+        # journal line is torn.
+        with open(store.journal_path, "r+b") as fh:
+            fh.truncate(fh.seek(0, os.SEEK_END) - 9)
+        fresh = CampaignStore(tmp_path / "c")
+        fresh.open()
+        assert [c for c in cells if fresh.is_done(c.cell_id)] == cells[:3]
+        assert fresh.status(cells[3].cell_id) == "pending"
+        # Healed: the index was rebuilt from disk and the torn journal
+        # folded away, so later appends start on a clean line.
+        assert not store.journal_path.exists()
+        assert sorted(json.loads(store.index_path.read_text())) == sorted(
+            c.cell_id for c in cells[:3])
+
+    def test_second_store_sees_each_cell_as_it_lands(self, tmp_path):
+        spec = predict_spec()
+        cells = spec.cells()
+        writer = CampaignStore(tmp_path / "c")
+        writer.create(spec)
+        reader = CampaignStore(tmp_path / "c")
+        reader.open()
+        for n, cell in enumerate(cells[:-1], start=1):
+            writer.write_result(cell, {"stats": {}}, duration_s=0.1)
+            reader.refresh()
+            assert reader.is_done(cell.cell_id)
+            assert reader.counts()["done"] == n
+        writer.write_quarantine(cells[-1], "ValueError: boom")
+        reader.refresh()
+        assert reader.status(cells[-1].cell_id) == "quarantined"
+
+    def test_write_cost_independent_of_index_size(self, tmp_path):
+        """Recording a cell appends one journal line; index.json is not
+        rewritten, so the bytes per write do not grow with the store."""
+        spec = predict_spec(benches=("gcc", "mcf", "gap", "vpr"),
+                            entries=(1024, 2048, 4096, 8192, 16384))
+        cells = spec.cells()
+        assert len(cells) == 40
+        store = CampaignStore(tmp_path / "c")
+        store.create(spec)
+        index_bytes = store.index_path.read_bytes()
+        grew = []
+        for cell in cells:
+            before = (store.journal_path.stat().st_size
+                      if store.journal_path.exists() else 0)
+            store.write_result(cell, {"stats": {}}, duration_s=0.25)
+            grew.append(store.journal_path.stat().st_size - before)
+        assert store.index_path.read_bytes() == index_bytes
+        # Labels differ by a few characters; nothing scales with n.
+        assert max(grew) - min(grew) <= 8, grew
 
     def test_manifest_dedup(self, tmp_path):
         spec = mini_spec()
@@ -368,6 +456,109 @@ class TestScheduler:
                             cell_worker=_crashing_cell_worker).run()
         assert summary.completed == 0 and summary.quarantined == 1
 
+    def test_interrupted_run_keeps_finished_cells(self, tmp_path):
+        """Each outcome is recorded as it arrives: an interrupt on the
+        third cell leaves cells 1-2 on disk and indexed, and a resume
+        runs only the rest."""
+        spec = predict_spec()
+        cells = spec.cells()
+        store = CampaignStore(tmp_path / "c")
+        store.create(spec)
+        calls = []
+
+        def interrupted_on_third(config, span_ctx=None):
+            calls.append(config)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return _cell_worker(config, span_ctx)
+
+        with pytest.raises(KeyboardInterrupt):
+            scheduler(spec, store, max_workers=1,
+                      cell_worker=interrupted_on_third).run()
+        fresh = CampaignStore(tmp_path / "c")
+        resume_spec = fresh.open()
+        assert [c for c in cells if fresh.is_done(c.cell_id)] == cells[:2]
+        assert sorted(p.stem for p in fresh.cells_dir.glob("*.json")) == \
+            sorted(c.cell_id for c in cells[:2])
+        ran = []
+
+        def counting(config, span_ctx=None):
+            ran.append(config)
+            return _cell_worker(config, span_ctx)
+
+        summary = scheduler(resume_spec, fresh, max_workers=1,
+                            cell_worker=counting).run()
+        assert summary.skipped == 2
+        assert summary.completed == len(cells) - 2
+        assert ran == [c.config() for c in cells[2:]]
+
+    def test_failed_store_write_surfaces_after_drain(self, tmp_path,
+                                                     monkeypatch):
+        spec = predict_spec()
+        cells = spec.cells()
+        store = CampaignStore(tmp_path / "c")
+        store.create(spec)
+        real_write = store.write_result
+        writes = []
+
+        def failing_write(cell, *args, **kwargs):
+            writes.append(cell)
+            if len(writes) == 3:
+                raise OSError("disk full")
+            return real_write(cell, *args, **kwargs)
+
+        monkeypatch.setattr(store, "write_result", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            scheduler(spec, store).run()
+        fresh = CampaignStore(tmp_path / "c")
+        fresh.open()
+        done = {c.cell_id for c in cells if fresh.is_done(c.cell_id)}
+        assert {c.cell_id for c in writes[:2]} <= done
+        assert writes[2].cell_id not in done
+        # The warm pool holds no stale replies for its next caller.
+        assert run_tasks(_double, [1, 2, 3], max_workers=2) == [
+            (TASK_OK, 2), (TASK_OK, 4), (TASK_OK, 6)]
+
+    def test_run_leaves_only_the_folded_index(self, tmp_path, monkeypatch):
+        spec = predict_spec()
+        store = CampaignStore(tmp_path / "c")
+        store.create(spec)
+        real_fold = store.fold_index
+        before_fold = {}
+
+        def spying_fold():
+            before_fold["journal"] = store.journal_path.exists()
+            view = CampaignStore(tmp_path / "c")
+            view.open()
+            before_fold["applied"] = {c.cell_id: view.summary(c.cell_id)
+                                      for c in spec.cells()}
+            real_fold()
+
+        monkeypatch.setattr(store, "fold_index", spying_fold)
+        assert scheduler(spec, store).run().completed == len(spec.cells())
+        assert before_fold["journal"]
+        assert not store.journal_path.exists()
+        assert json.loads(store.index_path.read_text()) == \
+            before_fold["applied"]
+
+    def test_git_probed_once_per_process(self, tmp_path, monkeypatch):
+        spec = predict_spec()
+        store = CampaignStore(tmp_path / "c")
+        store.create(spec)
+        real_run = subprocess.run
+        probes = []
+
+        def counting_run(argv, *args, **kwargs):
+            if argv[:1] == ["git"]:
+                probes.append(argv)
+            return real_run(argv, *args, **kwargs)
+
+        monkeypatch.setattr(manifest.subprocess, "run", counting_run)
+        manifest.git_revision.cache_clear()
+        summary = scheduler(spec, store, max_workers=1).run()
+        assert summary.completed == len(spec.cells()) > 1
+        assert len(probes) == 1
+
     def test_warm_plan_covers_grid(self):
         spec = mini_spec()
         sched = scheduler(spec, CampaignStore("/nonexistent"))
@@ -384,6 +575,96 @@ class TestScheduler:
                   on_progress=lambda done, total: seen.append(
                       (done, total))).run()
         assert seen[0] == (0, 4) and seen[-1] == (4, 4)
+
+
+# ---------------------------------------------------------------------------
+# A driver killed outright (SIGKILL): no finally, no atexit
+# ---------------------------------------------------------------------------
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+SHM_DIR = Path("/dev/shm")
+
+
+def _stat_fields(pid):
+    """``/proc/<pid>/stat`` fields after the command name, or None."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rsplit(")", 1)[1].split()
+    except OSError:
+        return None
+
+
+def _children(pid):
+    kids = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            fields = _stat_fields(entry)
+            if fields is not None and int(fields[1]) == pid:
+                kids.append(int(entry))
+    return kids
+
+
+def _alive(pid):
+    fields = _stat_fields(pid)
+    return fields is not None and fields[0] not in ("Z", "X")
+
+
+def _shm_names():
+    return {p.name for p in SHM_DIR.glob("psm_*")}
+
+
+@pytest.mark.skipif(not (os.path.isdir("/proc/self")
+                         and SHM_DIR.is_dir()),
+                    reason="needs Linux /proc and /dev/shm")
+class TestHardKill:
+    def test_sigkilled_driver_leaves_no_workers_or_segments(self, tmp_path):
+        """Workers notice their driver is gone and exit, which lets the
+        resource tracker unlink the driver's shared memory; every cell
+        recorded before the kill is done when the store is reopened."""
+        spec = tmp_path / "grid.json"
+        spec.write_text(json.dumps({
+            "campaign": {"name": "kill"},
+            "defaults": {"kind": "predict", "length": 20000,
+                         "gated": True},
+            "matrix": {"bench": ["gcc", "mcf", "gap", "vpr"],
+                       "predictor": ["gdiff", "hgvq", "stride", "dfcm",
+                                     "last-value"],
+                       "entries": [256, 512, 1024, 2048, 4096, 8192]},
+        }))
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        env.pop("REPRO_SHM", None)
+        camp = tmp_path / "camp"
+        shm_before = _shm_names()
+        driver = subprocess.Popen(
+            [sys.executable, "-m", "repro", "campaign", "run", str(spec),
+             "--dir", str(camp), "--jobs", "2", "--no-progress"],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        try:
+            deadline = time.monotonic() + 60
+            while len(list((camp / "cells").glob("*.json"))) < 2:
+                assert driver.poll() is None, "driver exited early"
+                assert time.monotonic() < deadline, "no cells after 60 s"
+                time.sleep(0.01)
+            helpers = _children(driver.pid)
+            driver.send_signal(signal.SIGKILL)
+        finally:
+            if driver.poll() is None:
+                driver.kill()
+            driver.wait()
+        assert len(helpers) >= 2  # two pool workers (+ resource tracker)
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            if not any(_alive(pid) for pid in helpers) and \
+                    not _shm_names() - shm_before:
+                break
+            time.sleep(0.1)
+        assert [pid for pid in helpers if _alive(pid)] == []
+        assert _shm_names() - shm_before == set()
+        store = CampaignStore(camp)
+        store.open()
+        on_disk = {p.stem for p in store.cells_dir.glob("*.json")}
+        assert len(on_disk) >= 2
+        assert {cid for cid in on_disk if store.is_done(cid)} == on_disk
+        assert store.counts()["done"] == len(on_disk)
 
 
 # ---------------------------------------------------------------------------

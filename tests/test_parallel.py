@@ -7,6 +7,7 @@ fallback when the pool cannot be used.
 """
 
 import os
+import threading
 import time
 
 import pytest
@@ -279,6 +280,78 @@ class TestPersistentPool:
         shutdown_pool()
         shutdown_pool()
         assert run_tasks(_double, [7], max_workers=2) == [(TASK_OK, 14)]
+
+
+def _timed_task(x):
+    """Sleep briefly; report which worker ran the task and when it began."""
+    started = time.time()
+    time.sleep(0.05)
+    return os.getpid(), started, x
+
+
+class TestStreamingCallbacks:
+    """The driver callback runs while the workers keep computing, and a
+    failing callback leaves the warm pool clean for the next call."""
+
+    def test_worker_refilled_before_callback_runs(self):
+        shutdown_pool()
+        returned = {}
+
+        def slow_callback(tid, outcome):
+            time.sleep(0.2)  # a slow store write
+            returned[tid] = time.time()
+
+        raw = get_pool().map_outcomes(_timed_task, list(range(6)),
+                                      workers=2, on_outcome=slow_callback)
+        assert [value[2] for _status, value in raw] == list(range(6))
+        by_worker = {}
+        for tid, (status, (pid, started, _x)) in enumerate(raw):
+            assert status == "ok"
+            by_worker.setdefault(pid, []).append((started, tid))
+        assert len(by_worker) == 2
+        for runs in by_worker.values():
+            runs.sort()
+            for (_s, tid), (next_start, _t) in zip(runs, runs[1:]):
+                # The worker's next task began before the callback for
+                # its previous one returned.
+                assert next_start < returned[tid]
+
+    def test_callback_error_raised_after_drain(self):
+        shutdown_pool()
+        seen = []
+
+        def failing_write(i, outcome):
+            seen.append(i)
+            if len(seen) == 3:
+                raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            run_tasks(_timed_task, list(range(12)), max_workers=2,
+                      on_result=failing_write)
+        # Tasks in flight when the callback failed were still drained
+        # (and reported); no new ones were dispatched after it.
+        assert 3 < len(seen) < 12
+        pool = get_pool()
+        assert all(not w.inflight for w in pool._workers)
+        # An OSError from the callback is not a pool failure: nothing
+        # re-ran in-process, and the warm pool serves the next call.
+        assert run_tasks(_double, [1, 2, 3], max_workers=2) == [
+            (TASK_OK, 2), (TASK_OK, 4), (TASK_OK, 6)]
+
+    def test_pool_failure_midway_reruns_only_unfinished(self):
+        """Outcomes already streamed are kept: the in-process fallback
+        runs only the items the pool never finished, so no item is
+        reported twice."""
+        shutdown_pool()
+        seen = []
+        items = [0, 1, threading.Lock(), 3]  # item 2 cannot be pickled
+        outcomes = run_tasks(_pid, items, max_workers=2,
+                             on_result=lambda i, o: seen.append(i))
+        assert sorted(seen) == [0, 1, 2, 3]
+        assert [status for status, _pid in outcomes] == [TASK_OK] * 4
+        driver = os.getpid()
+        assert outcomes[0][1] != driver and outcomes[1][1] != driver
+        assert outcomes[2][1] == driver
 
 
 class TestFreshMode:

@@ -100,21 +100,27 @@ def snap_core(core):
 
 
 def _entry_snap(e):
+    if isinstance(e, int):  # last-value tables store the value itself
+        return e
     if hasattr(e, "__slots__"):
         return tuple(getattr(e, f) for f in e.__slots__)
     return tuple(sorted(vars(e).items()))
 
 
 def _table_snap(t):
+    if isinstance(t, dict):  # a bare mapping, e.g. DFCM's level-2 table
+        return {k: _entry_snap(e) for k, e in t.items()}
     store = getattr(t, "_entries", None)
     if store is None:
         store = getattr(t, "_data", None)
     if isinstance(store, dict):
-        return {k: _entry_snap(e) for k, e in store.items()}
-    if isinstance(store, list):
-        return {i: _entry_snap(e) for i, e in enumerate(store)
+        snap = {k: _entry_snap(e) for k, e in store.items()}
+    elif isinstance(store, list):
+        snap = {i: _entry_snap(e) for i, e in enumerate(store)
                 if e is not None}
-    return repr(store)
+    else:
+        return repr(store)
+    return getattr(t, "accesses", None), snap
 
 
 def snap_vp(vp):
@@ -149,7 +155,7 @@ def snap_vp(vp):
                     tuple(q._buf[k % q._capacity]
                           for k in range(max(0, q._count - q._capacity),
                                          q._count)))
-    inner = getattr(vp, "predictor", None)
+    inner = getattr(vp, "inner", None)  # LocalPredictorAdapter
     if inner is not None:
         for attr in ("_table", "_l1", "_l2", "table"):
             tb = getattr(inner, attr, None)
@@ -252,7 +258,7 @@ def test_empty_trace(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["sgvq", "hgvq", "sgvq_thr0",
-                                  "hgvq_thr0"])
+                                  "hgvq_thr0", "stride", "dfcm", "lv"])
 def test_chained_runs(kind, monkeypatch):
     """Two runs over slices of one trace through one core and adapter:
     exercises warm-start queue/log state and non-pristine caches."""
