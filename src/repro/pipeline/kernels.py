@@ -25,10 +25,14 @@ loop over flat state, applying the same playbook the predictor kernels in
 
 * **Packed-native fetch.**  The fetch queue is a pair of cursors into
   the :class:`~repro.trace.packed.PackedTrace` columns; no
-  ``Instruction`` is ever materialised.  Per-trace auxiliary columns —
-  src registers unpacked into tuples, i-cache line ids — are computed
-  once and memoised on the trace's column dict identity, so the repeated
-  runs of a fig13/fig19 sweep share them.  I-cache, gshare and d-cache
+  ``Instruction`` is ever materialised.  The per-trace memo — keyed on
+  the trace's column dict identity, so the repeated runs of a
+  fig13/fig19 sweep share it — holds only what is costly to derive:
+  the static dataflow as distance tuples interned per build, the
+  front-end event bytes below, and the passive timing solutions with
+  their event streams in ``array('q')``; line ids are a shift of the
+  pc/address columns at use, and retired value counts one C-level
+  count over the flags column.  I-cache, gshare and d-cache
   accesses are inlined over locally bound buckets/counter lists, with
   the access/miss/lookup counters accumulated as plain ints and flushed
   to the shared model objects once at the end.  Because fetch consumes
@@ -70,16 +74,17 @@ loop over flat state, applying the same playbook the predictor kernels in
   :class:`~repro.core.table.FlatGDiffTable`, dict-backed local tables),
   with prediction-stats and confidence training inlined and stat
   counters flushed at the end.  The gDiff paths reuse PR 3's lazy
-  difference vectors: queue pushes go to an append-only log (HGVQ
-  deposits carry a write-back ordinal so out-of-order deposits read
-  back exactly the values a train-time snapshot saw), trained rows are
-  kept as ``(actual, window position)`` pairs, and the common
-  sticky-hit train costs one on-demand difference compare instead of an
-  order-n vector build.  Rows and the queue ring are materialised into
-  the shared flat arrays once at the end; as in the profile kernels,
-  ``_diffs`` words past a row's ``_valid`` count and the predictor's
-  ``_scratch`` buffer are unreachable garbage and may differ from the
-  object path's residue.
+  difference vectors: SGVQ pushes go to an append-only log and trained
+  rows are kept as ``(actual, window position)`` pairs; the HGVQ keeps
+  its live slot window and, per trained row, the at most *order*
+  window values the train saw (later out-of-order deposits may
+  overwrite them).  The common sticky-hit train costs one difference
+  compare, and a distance scan is one C-level ``map`` over two window
+  slices plus a membership test.  Rows and the queue ring are
+  materialised into the shared flat arrays once at the end; as in the
+  profile kernels, ``_diffs`` words past a row's ``_valid`` count and
+  the predictor's ``_scratch`` buffer are unreachable garbage and may
+  differ from the object path's residue.
 
 * **Shared timing solutions.**  Without speculative value use the
   machine timing is provably independent of the attached predictor —
@@ -108,8 +113,9 @@ schemes, seeds, gating and reissue policies.
 
 from __future__ import annotations
 
+from array import array
 from heapq import heappop as _heappop, heappush as _heappush
-from itertools import accumulate
+from operator import add as _add, sub as _sub
 from typing import Optional
 
 from ..core.gdiff import GDiffPredictor
@@ -368,6 +374,25 @@ def _flat_state(table):
         table._owner,
         table._owner_set,
     )
+
+
+_WRAP = WORD_MASK + 1
+
+
+def _scan(words, t1, t2, limit, farthest):
+    """Distance the gDiff update rule selects, or 0 when none matches.
+
+    *words* yields one unmasked word per distance, ``limit`` down to 1
+    (one C-level ``map`` over two window slices); a distance matches when
+    its word is either residue *t1*/*t2* of the target mod 2^64.
+    """
+    scan = list(words)
+    if t1 in scan or t2 in scan:
+        if not farthest:
+            scan.reverse()  # nearest first: element k is distance k + 1
+        k = min(scan.index(t) for t in (t1, t2) if t in scan)
+        return limit - k if farthest else k + 1
+    return 0
 
 
 def _local_vp(vp):
@@ -817,45 +842,24 @@ def _sgvq_vp(vp):
                         (actual - log[topb - d]) & M:
                     chosen = d
             if not chosen and limit:
-                if farthest:
-                    for d in range(limit, 0, -1):
-                        if tdiffs[rbase + d - 1] == \
-                                (actual - log[topb - d]) & M:
-                            chosen = d
-                            break
-                else:
-                    for d in range(1, limit + 1):
-                        if tdiffs[rbase + d - 1] == \
-                                (actual - log[topb - d]) & M:
-                            chosen = d
-                            break
+                chosen = _scan(map(_add,
+                                   reversed(tdiffs[rbase:rbase + limit]),
+                                   log[topb - limit:topb]),
+                               actual, actual + _WRAP, limit, farthest)
         else:
             # (la - log[lwb-d]) == (actual - log[topb-d])  (mod 2^64)
             # rearranges to a per-scan constant vs a two-read probe.
             t = (lz[0] - actual) & M
-            delta = lz[1] - logbase - topb
+            lwb = lz[1] - logbase
             if sticky:
                 d = tdist[row]
-                if 0 < d <= limit:
-                    p = topb - d
-                    if (log[p + delta] - log[p]) & M == t:
-                        chosen = d
+                if 0 < d <= limit and \
+                        (log[lwb - d] - log[topb - d]) & M == t:
+                    chosen = d
             if not chosen and limit:
-                if farthest:
-                    p = topb - limit
-                    while p < topb:
-                        if (log[p + delta] - log[p]) & M == t:
-                            chosen = topb - p
-                            break
-                        p += 1
-                else:
-                    p = topb - 1
-                    stop = topb - limit
-                    while p >= stop:
-                        if (log[p + delta] - log[p]) & M == t:
-                            chosen = topb - p
-                            break
-                        p -= 1
+                chosen = _scan(map(_sub, log[lwb - limit:lwb],
+                                   log[topb - limit:topb]),
+                               t, t - _WRAP, limit, farthest)
         if chosen:
             tdist[row] = chosen
             if refresh:
@@ -903,13 +907,15 @@ def _sgvq_vp(vp):
 
 
 def _hgvq_vp(vp):
-    """Fused HGVQ hooks over deposit-versioned absolute queue slots.
+    """Fused HGVQ hooks over the live window of absolute queue slots.
 
-    The slotted ring becomes three absolute-indexed lists — filler
-    content, deposited value, deposit ordinal — so a lazily stored row
-    ``(actual, seq, ordinal)`` can re-read exactly the window snapshot
-    its train step saw even after later out-of-order deposits mutate
-    those positions.  Every in-window read stays within the lists
+    The slotted ring becomes one absolute-indexed list ``curw`` holding
+    each slot's latest visible value (its deposit, else the filler
+    prediction).  Later out-of-order deposits mutate window positions a
+    trained row has already differenced against, so a lazily stored row
+    keeps ``(actual, snapshot)`` with the at most *order* window values
+    its train step saw; the mismatch scan and the final materialisation
+    read that snapshot.  Every in-window read stays within ``curw``
     because deposits and window reads are both bounded by the ring
     capacity.
     """
@@ -964,18 +970,11 @@ def _hgvq_vp(vp):
     sbase = next_seq0 - qcap
     if sbase < 0:
         sbase = 0
-    BIG = 1 << 62
-    # Pre-run ring content counts as deposited before any train this run.
-    fillv = [qbuf[k % qcap] for k in range(sbase, next_seq0)]
-    dval = [0] * (next_seq0 - sbase)
-    dord = [BIG] * (next_seq0 - sbase)
-    curw = fillv[:]  # latest visible value per slot (deposit else fill)
-    fillv_append = fillv.append
-    dval_append = dval.append
-    dord_append = dord.append
+    # Latest visible value per slot (deposit, else filler), absolute
+    # position k at curw[k - sbase], seeded from the live ring window.
+    curw = [qbuf[k % qcap] for k in range(sbase, next_seq0)]
     curw_append = curw.append
-    wb_ord = 0
-    lazy = {}       # row -> (actual, train seq, train ordinal)
+    lazy = {}       # row -> (actual, train-time window, oldest first)
     lazy_get = lazy.get
     late = 0
     accesses = 0
@@ -1003,16 +1002,13 @@ def _hgvq_vp(vp):
                 if depth > qsize:
                     depth = qsize
                 if d <= depth:
-                    p = seq - d - sbase
-                    base = curw[p]
+                    base = curw[seq - d - sbase]
                     lz = lazy_get(row)
                     if lz is None:
                         predicted = (base
                                      + tdiffs[row * torder + d - 1]) & M
                     else:
-                        p0 = lz[1] - d - sbase
-                        b0 = dval[p0] if dord[p0] < lz[2] else fillv[p0]
-                        predicted = (base + lz[0] - b0) & M
+                        predicted = (base + lz[0] - lz[1][-d]) & M
         if fstride:
             fe = fdget(pc if funlim else (pc >> fshift) & fmask)
             if fe is None or fe.seen == 0:
@@ -1022,10 +1018,7 @@ def _hgvq_vp(vp):
         else:
             fv = fpredict(pc)
             fv = (fv if fv is not None else 0) & M
-        fillv_append(fv)
         curw_append(fv)
-        dval_append(0)
-        dord_append(BIG)
         next_seq = seq + 1
         if predicted is None:
             return None, False, seq
@@ -1033,7 +1026,7 @@ def _hgvq_vp(vp):
                                0) >= cthr, seq
 
     def complete(pc, predicted, confident, seq, actual):
-        nonlocal late, last_sel, wb_ord, accesses, conflicts, occupied, \
+        nonlocal late, last_sel, accesses, conflicts, occupied, \
             nrows, attempts, predictions, correct, confident_n, \
             confident_correct, faccesses
         attempts += 1
@@ -1056,15 +1049,10 @@ def _hgvq_vp(vp):
                 if cur < 0:
                     cur = 0
             cdata[cidx] = cur
-        my_ord = wb_ord
-        wb_ord = my_ord + 1
         if seq < next_seq - qcap or seq >= next_seq:
             late += 1
         else:
-            rel = seq - sbase
-            dval[rel] = actual
-            dord[rel] = my_ord
-            curw[rel] = actual
+            curw[seq - sbase] = actual
         oldest = next_seq - qcap
         if oldest < 0:
             oldest = 0
@@ -1103,7 +1091,7 @@ def _hgvq_vp(vp):
                 if track:
                     towner[row] = pc
                     towner_set[row] = 1
-        # -- match & select, window values versioned at this ordinal
+        # -- match & select against the live window
         sv = tvalid[row]
         limit = sv if sv < vc else vc
         chosen = 0
@@ -1113,63 +1101,36 @@ def _hgvq_vp(vp):
             rbase = row * torder
             if sticky:
                 d = tdist[row]
-                if 0 < d <= limit:
-                    if tdiffs[rbase + d - 1] == \
-                            (actual - curw[seqb - d]) & M:
-                        chosen = d
+                if 0 < d <= limit and tdiffs[rbase + d - 1] == \
+                        (actual - curw[seqb - d]) & M:
+                    chosen = d
             if not chosen and limit:
-                if farthest:
-                    scan = range(limit, 0, -1)
-                else:
-                    scan = range(1, limit + 1)
-                for d in scan:
-                    if tdiffs[rbase + d - 1] == \
-                            (actual - curw[seqb - d]) & M:
-                        chosen = d
-                        break
+                chosen = _scan(map(_add,
+                                   reversed(tdiffs[rbase:rbase + limit]),
+                                   curw[seqb - limit:seqb]),
+                               actual, actual + _WRAP, limit, farthest)
         else:
-            # (la - b0(d)) == (actual - base(d))  (mod 2^64), with the
-            # per-scan constant hoisted; base is the live window (cur),
-            # b0 the snapshot the lazy train saw (deposit-versioned).
+            # (la - snap[-d]) == (actual - curw[seqb-d])  (mod 2^64):
+            # the snapshot is the window the lazy train saw.
             t = (lz[0] - actual) & M
-            lt = lz[2]
-            dd0 = lz[1] - sbase - seqb
+            snap = lz[1]
             if sticky:
                 d = tdist[row]
-                if 0 < d <= limit:
-                    p = seqb - d
-                    p0 = p + dd0
-                    b0 = dval[p0] if dord[p0] < lt else fillv[p0]
-                    if (b0 - curw[p]) & M == t:
-                        chosen = d
+                if 0 < d <= limit and \
+                        (snap[-d] - curw[seqb - d]) & M == t:
+                    chosen = d
             if not chosen and limit:
-                if farthest:
-                    p = seqb - limit
-                    while p < seqb:
-                        p0 = p + dd0
-                        b0 = dval[p0] if dord[p0] < lt else fillv[p0]
-                        if (b0 - curw[p]) & M == t:
-                            chosen = seqb - p
-                            break
-                        p += 1
-                else:
-                    p = seqb - 1
-                    stop = seqb - limit
-                    while p >= stop:
-                        p0 = p + dd0
-                        b0 = dval[p0] if dord[p0] < lt else fillv[p0]
-                        if (b0 - curw[p]) & M == t:
-                            chosen = seqb - p
-                            break
-                        p -= 1
+                chosen = _scan(map(_sub, snap[-limit:],
+                                   curw[seqb - limit:seqb]),
+                               t, t - _WRAP, limit, farthest)
         if chosen:
             tdist[row] = chosen
             if refresh:
-                lazy[row] = (actual, seq, my_ord)
+                lazy[row] = (actual, curw[seqb - vc:seqb])
                 tvalid[row] = vc
             last_sel = chosen
         else:
-            lazy[row] = (actual, seq, my_ord)
+            lazy[row] = (actual, curw[seqb - vc:seqb])
             tvalid[row] = vc
             last_sel = 0
         if fstride:
@@ -1205,12 +1166,9 @@ def _hgvq_vp(vp):
             start = next_seq0
         for k in range(start, next_seq):
             qbuf[k % qcap] = curw[k - sbase]
-        for row, (la, lw, lt) in lazy.items():
+        for row, (la, snap) in lazy.items():
             rbase = row * torder
-            lwb = lw - sbase
-            for dd in range(tvalid[row]):
-                p = lwb - 1 - dd
-                base = dval[p] if dord[p] < lt else fillv[p]
+            for dd, base in enumerate(reversed(snap)):
                 tdiffs[rbase + dd] = (la - base) & M
         table.accesses += accesses
         table.conflicts += conflicts
@@ -1346,6 +1304,7 @@ def run_fast(core, trace, max_cycles=None, on_progress=None,
     ops = cols["ops"]
     flags = cols["flags"]
     values = cols["values"]
+    addrs = cols["addrs"]
     tb = trace._start
     t_stop = trace._stop
 
@@ -1387,54 +1346,47 @@ def run_fast(core, trace, max_cycles=None, on_progress=None,
     ghist = bp._history
     glook = gcorrect = 0
 
-    # -- per-trace auxiliary columns (memoised across runs) -------------
+    # -- per-trace static dataflow (memoised across runs) ---------------
+    # Edges are stored as distances, so the few distinct tuples are
+    # shared through a per-build intern table: sdeps[i] holds producer
+    # offsets i - j (one per src), scons[j] ascending consumer offsets.
     aux = _trace_aux(cols)
-    lkey = ("lines", line_shift)
-    lines = aux.get(lkey)
-    if lines is None:
-        sh = line_shift
-        lines = aux[lkey] = [pc >> sh for pc in pcs]
-    dkey = ("dlines", d_shift)
-    dlines = aux.get(dkey)
-    if dlines is None:
-        sh = d_shift
-        dlines = aux[dkey] = [a >> sh for a in cols["addrs"]]
     flow = aux.get("dataflow")
     if flow is None:
-        srcs_t = aux.get("srcs")
-        if srcs_t is None:
-            srcs_t = aux["srcs"] = list(map(_SRC_LUT.__getitem__,
-                                            cols["srcs"]))
         dests = cols["dests"]
         n = len(pcs)
-        sdeps = [()] * n    # i -> static producer trace indices (per src)
-        scons = [()] * n    # j -> sorted consumer trace indices
+        sdeps = [()] * n
+        scons = [()] * n
         writers = {}
         writers_get = writers.get
-        for i in range(n):
-            st = srcs_t[i]
+        share = {}.setdefault   # build-local intern table
+        for i, st in enumerate(map(_SRC_LUT.__getitem__, cols["srcs"])):
             if st:
                 dep = None
                 for reg in st:
                     j = writers_get(reg)
                     if j is not None:
+                        k = i - j
                         if dep is None:
-                            dep = [j]
+                            dep = [k]
                         else:
-                            dep.append(j)
+                            dep.append(k)
                         sc = scons[j]
                         if sc:
-                            sc.append(i)
+                            sc.append(k)
                         else:
-                            scons[j] = [i]
+                            scons[j] = [k]
                 if dep is not None:
-                    sdeps[i] = dep
+                    dep = tuple(dep)
+                    sdeps[i] = share(dep, dep)
             if flags[i] & 0x01:
                 writers[dests[i]] = i
-        vpre = [0]          # prefix counts of value-producing insns
-        vpre.extend(accumulate(bytes(flags).translate(_VPRE_TBL)))
-        flow = aux["dataflow"] = (sdeps, scons, vpre)
-    sdeps, scons, vpre = flow
+        for j, sc in enumerate(scons):
+            if sc:
+                sc = tuple(sc)
+                scons[j] = share(sc, sc)
+        flow = aux["dataflow"] = (sdeps, scons)
+    sdeps, scons = flow
 
     # -- fetch-event precompute -----------------------------------------
     # Fetch consumes the trace strictly in order, so from pristine
@@ -1462,7 +1414,7 @@ def run_fast(core, trace, max_cycles=None, on_progress=None,
             ll = -1
             for fti in range(tb, t_stop):
                 ev = 0
-                line = lines[fti]
+                line = pcs[fti] >> line_shift
                 if line != ll:
                     ll = line
                     bucket = fl[line % i_sets]
@@ -1534,7 +1486,8 @@ def run_fast(core, trace, max_cycles=None, on_progress=None,
             dcache.misses += m_dmiss
             result.cycles = m_cycles
             result.retired = m_retired
-            result.retired_vp = vpre[tb + m_retired] - vpre[tb]
+            result.retired_vp = bytes(flags[tb:tb + m_retired]).translate(
+                _VPRE_TBL).count(1)
             result.branches = m_branches
             result.branch_mispredicts = m_mispred
             result.icache_misses = m_icm
@@ -1568,7 +1521,7 @@ def run_fast(core, trace, max_cycles=None, on_progress=None,
                     vp_finalize()
             return result
         if memo is None:
-            events = []
+            events = array("q")
     recording = events is not None
     if recording:
         ev_append = events.append
@@ -1691,8 +1644,8 @@ def run_fast(core, trace, max_cycles=None, on_progress=None,
                     # lists are ascending, so stop at the dispatch
                     # frontier).  A duplicate heap entry is harmless —
                     # pops re-validate.
-                    for i2 in scons[ti]:
-                        p2 = i2 - tb
+                    for k in scons[ti]:
+                        p2 = s + k
                         if p2 >= tail_seq:
                             break
                         p2slot = p2 & RM
@@ -1707,8 +1660,8 @@ def run_fast(core, trace, max_cycles=None, on_progress=None,
                                             blocked = True
                                             break
                             else:
-                                for j2 in sdeps[i2]:
-                                    d = j2 - tb
+                                for k2 in sdeps[ti + k]:
+                                    d = p2 - k2
                                     if d >= head_seq \
                                             and e_state[d & RM] != 2:
                                         blocked = True
@@ -1741,8 +1694,8 @@ def run_fast(core, trace, max_cycles=None, on_progress=None,
                                     # edges need validating against the
                                     # consumer's live-deps snapshot.
                                     stack = None
-                                    for i2 in scons[ti]:
-                                        p2 = i2 - tb
+                                    for k in scons[ti]:
+                                        p2 = s + k
                                         if p2 >= tail_seq:
                                             break
                                         if e_uspec[p2 & RM]:
@@ -1780,9 +1733,8 @@ def run_fast(core, trace, max_cycles=None, on_progress=None,
                                             if not blocked:
                                                 heappush(ready, cs)
                                             reissues += 1
-                                            cti = tb + cs
-                                            for i3 in scons[cti]:
-                                                p3 = i3 - tb
+                                            for k in scons[tb + cs]:
+                                                p3 = cs + k
                                                 if p3 >= tail_seq:
                                                     break
                                                 if cs in e_deps[p3 & RM]:
@@ -1828,8 +1780,8 @@ def run_fast(core, trace, max_cycles=None, on_progress=None,
                         e_uspec[slot] = True
                 else:
                     blocked = False
-                    for j in sdeps[ti]:
-                        d = j - tb
+                    for k in sdeps[ti]:
+                        d = s - k
                         if d >= head_seq and e_state[d & RM] != 2:
                             blocked = True
                             break
@@ -1846,7 +1798,7 @@ def run_fast(core, trace, max_cycles=None, on_progress=None,
                             deferred.append(s)
                         continue
                     d_acc += 1
-                    line = dlines[ti]
+                    line = addrs[ti] >> d_shift
                     bucket = d_lines[line % d_sets]
                     try:
                         pos = bucket.index(line)
@@ -1893,8 +1845,8 @@ def run_fast(core, trace, max_cycles=None, on_progress=None,
                     e_uspec[slot] = False
                     blocked = False
                     dlist = None
-                    for j in sdeps[ti]:
-                        p = j - tb
+                    for k in sdeps[ti]:
+                        p = s - k
                         if p >= head_seq:
                             ps = p & RM
                             if e_state[ps] != 2:
@@ -1907,8 +1859,8 @@ def run_fast(core, trace, max_cycles=None, on_progress=None,
                     e_deps[slot] = dlist if dlist is not None else ()
                 else:
                     blocked = False
-                    for j in sdeps[ti]:
-                        p = j - tb
+                    for k in sdeps[ti]:
+                        p = s - k
                         if p >= head_seq and e_state[p & RM] != 2:
                             blocked = True
                             break
@@ -1978,7 +1930,7 @@ def run_fast(core, trace, max_cycles=None, on_progress=None,
                     break
                 ti = fq_tail
                 stop_fetch = False
-                line = lines[ti]
+                line = pcs[ti] >> line_shift
                 if line != last_line:
                     last_line = line
                     i_acc += 1
@@ -2043,7 +1995,7 @@ def run_fast(core, trace, max_cycles=None, on_progress=None,
                 if ev:
                     ic = ev & 3
                     if ic:
-                        line = lines[ti]
+                        line = pcs[ti] >> line_shift
                         bucket = i_lines[line % i_sets]
                         if ic == 2:
                             bucket.insert(0, line)
@@ -2086,7 +2038,8 @@ def run_fast(core, trace, max_cycles=None, on_progress=None,
             ghist, glook, gcorrect, list(gcounters)))
     result.cycles = cycle
     result.retired = retired
-    result.retired_vp = vpre[tb + retired] - vpre[tb]
+    result.retired_vp = bytes(flags[tb:tb + retired]).translate(
+        _VPRE_TBL).count(1)
     result.branches = branches
     result.branch_mispredicts = mispredicts
     result.icache_misses = icache_misses

@@ -1,15 +1,17 @@
 """The pipeline kernel must be bit-identical to the object core.
 
 Mirrors ``test_kernel_equivalence.py`` one layer up: every supported
-predictor scheme × gating × reissue-policy combination is run through
-:meth:`OutOfOrderCore.run` twice — once with ``REPRO_KERNELS=1`` (the
-event-driven SoA kernel) and once forced onto the object path with
-``REPRO_KERNELS=0`` — asserting equal :class:`SimResult` (cycles, IPC
-numerator, value-delay histogram, miss/flush counters), equal cache and
-branch-predictor end state, and equal predictor/queue/confidence/stats
-end state.  Dead state is excluded exactly as in the profile-kernel
-suite: ``_diffs`` words past a row's ``_valid`` count and the
-``_scratch`` buffer are unreachable garbage on both paths.
+predictor scheme × gating × reissue-policy combination (plus the SGVQ and
+HGVQ tables' farthest/nearest distance policies and no-refresh rule) is
+run through :meth:`OutOfOrderCore.run` twice — once with
+``REPRO_KERNELS=1`` (the event-driven SoA kernel) and once forced onto
+the object path with ``REPRO_KERNELS=0`` — asserting equal
+:class:`SimResult` (cycles, IPC numerator, value-delay histogram,
+miss/flush counters), equal cache and branch-predictor end state, and
+equal predictor/queue/confidence/stats end state.  Dead state is
+excluded exactly as in the profile-kernel suite: ``_diffs`` words past a
+row's ``_valid`` count and the ``_scratch`` buffer are unreachable
+garbage on both paths.
 
 Also covered: the passive timing memo (several schemes replayed over one
 trace object must match their from-scratch object runs bit for bit),
@@ -20,6 +22,8 @@ port-blocked ready entries), and the decline paths.
 """
 
 import os
+import sys
+from array import array
 
 import pytest
 
@@ -64,7 +68,22 @@ def make_vp(kind):
     if kind == "hgvq_thr0":
         return HGVQAdapter(order=16, entries=256,
                            confidence=ConfidenceTable(threshold=0))
+    scheme, _, variant = kind.partition("_")
+    if scheme in ("sgvq", "hgvq") and variant in TABLE_VARIANTS:
+        vp = make_vp(scheme)
+        table = (vp.gdiff if scheme == "sgvq" else vp.hybrid).table
+        table.policy, table.refresh_on_match = TABLE_VARIANTS[variant]
+        return vp
     raise ValueError(kind)
+
+
+#: Distance-policy/refresh variants set on the adapter's FlatGDiffTable
+#: after construction (the adapters expose neither knob).
+TABLE_VARIANTS = {
+    "far": ("farthest", True),
+    "near": ("nearest", True),
+    "norefresh": ("sticky-nearest", False),
+}
 
 
 def make_config(name):
@@ -221,7 +240,9 @@ CONFIGS = [
     ("hgvq", True, "great", 99),
     ("hgvq_unlim", True, "default", 11),
     ("hgvq_thr0", True, "great", 11),
-]
+] + [(f"{scheme}_{variant}", speculate, cfgname, 11)
+     for scheme in ("sgvq", "hgvq") for variant in TABLE_VARIANTS
+     for speculate, cfgname in ((False, "default"), (True, "great"))]
 
 
 @pytest.mark.parametrize("kind,speculate,cfgname,seed", CONFIGS)
@@ -296,6 +317,52 @@ def test_timing_memo_replay_matches(monkeypatch):
             else:
                 kernel = snap
         assert ref == kernel, f"scheme {kind} diverged under memo replay"
+
+
+def _retained_bytes(obj, seen):
+    """Bytes of *obj* and everything it references, each object once."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    size = sys.getsizeof(obj)
+    if isinstance(obj, dict):
+        children = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (list, tuple)):
+        children = obj
+    else:
+        return size
+    return size + sum(_retained_bytes(c, seen) for c in children)
+
+
+def test_trace_memo_stays_compact(monkeypatch):
+    """A default SGVQ run, a great-latency baseline and a speculative
+    HGVQ run over one 20k trace leave a compact per-trace memo: only the
+    dataflow, fetch and timing entries, timing events in an ``array``,
+    and at most 64 B retained per instruction.
+
+    The entry is sized by walking its objects; that agrees with
+    tracemalloc's count of what dropping the entry frees to within a
+    percent, while tracing the three runs would cost ~100x their time.
+    """
+    from repro.pipeline.kernels import _AUX_CACHE
+    from repro.trace.packed import PackedTrace
+
+    monkeypatch.setenv("REPRO_KERNELS", "1")
+    src = cached_trace("gcc", length=20000)
+    # Private columns, so no other test's runs share the memo entry.
+    trace = PackedTrace({k: v[:] for k, v in src._cols.items()},
+                        name=src.name)
+    OutOfOrderCore(value_predictor=SGVQAdapter()).run(trace)
+    OutOfOrderCore(config=great_latency_config()).run(trace)
+    OutOfOrderCore(config=great_latency_config(),
+                   value_predictor=HGVQAdapter(), speculate=True).run(trace)
+    aux = _AUX_CACHE.pop(id(trace._cols))[1]
+    kinds = sorted({k if isinstance(k, str) else k[0] for k in aux})
+    assert kinds == ["dataflow", "fetch", "timing"]
+    assert {type(v[0]) for k, v in aux.items()
+            if isinstance(k, tuple) and k[0] == "timing"} == {array}
+    per_insn = _retained_bytes(aux, set()) / len(trace)
+    assert per_insn <= 64, per_insn
 
 
 def test_progress_callback_sequence(monkeypatch):
