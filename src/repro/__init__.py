@@ -27,30 +27,16 @@ Quickstart::
     print(stats["gdiff"].raw_accuracy)
 """
 
-from .core import GDiffPredictor, HybridGDiffPredictor
-from .predictors import (
-    DFCMPredictor,
-    FCMPredictor,
-    LastNValuePredictor,
-    LastValuePredictor,
-    MarkovPredictor,
-    PredictionStats,
-    StridePredictor,
-    ValuePredictor,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "GDiffPredictor",
-    "HybridGDiffPredictor",
-    "ValuePredictor",
-    "PredictionStats",
-    "LastValuePredictor",
-    "LastNValuePredictor",
-    "StridePredictor",
-    "FCMPredictor",
-    "DFCMPredictor",
-    "MarkovPredictor",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".core": ("GDiffPredictor", "HybridGDiffPredictor"),
+    ".predictors": (
+        "DFCMPredictor", "FCMPredictor", "LastNValuePredictor",
+        "LastValuePredictor", "MarkovPredictor", "PredictionStats",
+        "StridePredictor", "ValuePredictor",
+    ),
+})
+__all__.append("__version__")

@@ -9,33 +9,15 @@ headline numbers (``fidelity``), with reporting straight from the store
 resume`` (see docs/CAMPAIGNS.md).
 """
 
-from .fidelity import FidelityCheck, check_fidelity, render_checks
-from .report import (
-    render_report,
-    report_tables,
-    status_lines,
-    telemetry_lines,
-    watch_lines,
-)
-from .scheduler import CampaignRunSummary, CampaignScheduler, RetryPolicy
-from .spec import CampaignSpec, Cell, SpecError
-from .store import CampaignStore, StoreError
+from .._lazy import lazy_exports
 
-__all__ = [
-    "CampaignSpec",
-    "Cell",
-    "SpecError",
-    "CampaignStore",
-    "StoreError",
-    "CampaignScheduler",
-    "CampaignRunSummary",
-    "RetryPolicy",
-    "FidelityCheck",
-    "check_fidelity",
-    "render_checks",
-    "render_report",
-    "report_tables",
-    "status_lines",
-    "telemetry_lines",
-    "watch_lines",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".fidelity": ("FidelityCheck", "check_fidelity", "render_checks"),
+    ".report": (
+        "render_report", "report_tables", "status_lines", "telemetry_lines",
+        "watch_lines",
+    ),
+    ".scheduler": ("CampaignRunSummary", "CampaignScheduler", "RetryPolicy"),
+    ".spec": ("CampaignSpec", "Cell", "SpecError"),
+    ".store": ("CampaignStore", "StoreError"),
+})

@@ -168,7 +168,6 @@ def _cell_telemetry(registry: MetricsRegistry, duration_s: float,
 def _execute_cell(config: Dict[str, Any],
                   span_ctx: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
     """Run one cell to completion and return its record payload."""
-    from ..harness.experiments import run_experiment
     from ..harness.runner import run_value_prediction
     from ..trace.cache import cached_trace
 
@@ -181,6 +180,8 @@ def _execute_cell(config: Dict[str, Any],
     cpu_started = time.process_time()
     with registry.timer("cell"):
         if kind == "experiment":
+            from ..harness.experiments import run_experiment
+
             name = params.pop("experiment")
             result = run_experiment(name, registry=registry, **params)
             payload: Dict[str, Any] = {"experiment": result.as_dict()}
@@ -213,6 +214,15 @@ def _execute_cell(config: Dict[str, Any],
             registry, duration, time.process_time() - cpu_started),
         "manifest": manifest.as_dict(),
     }
+
+
+def _import_cell_bodies(cells: List[Cell]) -> None:
+    """Import the modules the cells' bodies run, in the driver before the
+    pool forks: workers inherit them instead of each importing them."""
+    from ..harness import runner  # noqa: F401  (core.kernels, predictors)
+
+    if any(cell.kind == "experiment" for cell in cells):
+        from ..harness import experiments  # noqa: F401
 
 
 def _cell_worker(config: Dict[str, Any],
@@ -393,6 +403,7 @@ class CampaignScheduler:
 
         if self.warm:
             self.warm_cache(pending)
+        _import_cell_bodies(pending)
 
         # Workers record spans under the driver's current span when the
         # driver is tracing (``--trace-out``); the context is baked into

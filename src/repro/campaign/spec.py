@@ -219,8 +219,11 @@ class CampaignSpec:
         """Expand the grid: defaults ∪ matrix point, overrides applied,
         excludes dropped, every cell validated."""
         if self.explicit_cells is not None:
+            # A store's cells met the experiment registry when the store
+            # was created; reopening it (to report, say) does not import
+            # the registry and the simulators behind it again.
             for c in self.explicit_cells:
-                _validate_cell(c["kind"], c["params"])
+                _validate_cell(c["kind"], c["params"], registry=False)
             return [Cell.make(c["kind"], dict(c["params"]))
                     for c in self.explicit_cells]
         axes = sorted(self.matrix)
@@ -306,22 +309,27 @@ class CampaignSpec:
         if self.explicit_cells is not None:
             for cell in self.explicit_cells:
                 cell["params"].update(sets)
+                _validate_cell(cell["kind"], cell["params"])
         else:
             self.overrides.append({"where": {}, "set": dict(sets)})
         self.cells()  # re-validate
 
 
-def _validate_cell(kind: str, params: Dict[str, Any]) -> None:
+def _validate_cell(kind: str, params: Dict[str, Any],
+                   registry: bool = True) -> None:
+    """Reject a malformed cell; *registry* also checks an experiment
+    cell's name against the experiment registry."""
     if kind not in CELL_KINDS:
         raise SpecError(f"unknown cell kind {kind!r}; choose from "
                         f"{CELL_KINDS}")
     if kind == "experiment":
-        from ..harness.experiments import EXPERIMENTS
-
         name = params.get("experiment")
-        if name not in EXPERIMENTS:
-            raise SpecError(f"unknown experiment {name!r}; choose from "
-                            f"{sorted(EXPERIMENTS)}")
+        if registry:
+            from ..harness.experiments import EXPERIMENTS
+
+            if name not in EXPERIMENTS:
+                raise SpecError(f"unknown experiment {name!r}; choose "
+                                f"from {sorted(EXPERIMENTS)}")
         if "benchmarks" in params:
             _validate_benchmarks(params["benchmarks"])
         return

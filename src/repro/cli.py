@@ -1,5 +1,12 @@
 """Command-line interface: ``python -m repro`` (or the ``repro`` script).
 
+The CLI is one table, :data:`COMMANDS`: subcommand name → help text,
+argument builder and handler.  Each handler imports what it runs when it
+runs, so ``import repro.cli`` loads no experiment, pipeline, pool or
+serve code, and ``repro campaign report`` never imports the simulators
+that produced the results it renders (docs/PERFORMANCE.md, "Process
+startup").
+
 Subcommands:
 
 * ``repro list`` — benchmarks and experiments available.
@@ -64,72 +71,55 @@ display on a TTY (silent when piped).
 from __future__ import annotations
 
 import argparse
-import json
+import contextlib
 import os
 import sys
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional
 
-from .core import GDiffPredictor, HybridGDiffPredictor
-from .harness import (
-    EXPERIMENTS,
-    run_experiment,
-    run_experiments,
-    run_value_prediction,
-)
-from .pipeline import (
-    HGVQAdapter,
-    LocalPredictorAdapter,
-    OutOfOrderCore,
-    SGVQAdapter,
-)
-from .predictors import (
-    DFCMPredictor,
-    FCMPredictor,
-    GlobalFCMPredictor,
-    HybridLocalPredictor,
-    LastNValuePredictor,
-    LastValuePredictor,
-    PIPredictor,
-    StridePredictor,
-)
-from .telemetry import (
-    EventRecorder,
-    MetricsRegistry,
-    ProgressPrinter,
-    RunManifest,
-    configure_logging,
-    get_logger,
-    write_chrome_trace,
-)
-from .trace.cache import cache_enabled, default_cache
-from .trace.workloads import BENCHMARKS, get
+from ._lazy import import_module
 
-log = get_logger("repro.cli")
+
+def _load(path: str):
+    """``repro.<module>.<Name>``, importing the module on first use."""
+    module, _, name = path.rpartition(".")
+    return getattr(import_module(f"repro.{module}"), name)
+
+
+def _log():
+    from .telemetry.log import get_logger
+
+    return get_logger("repro.cli")
+
 
 #: Predictor factories exposed on the command line.
 PREDICTORS = {
-    "last-value": lambda: LastValuePredictor(entries=None),
-    "last-n": lambda: LastNValuePredictor(entries=None),
-    "stride": lambda: StridePredictor(entries=None),
-    "fcm": lambda: FCMPredictor(l1_entries=None),
-    "dfcm": lambda: DFCMPredictor(l1_entries=None),
-    "pi": lambda: PIPredictor(entries=None),
-    "gfcm": lambda: GlobalFCMPredictor(),
-    "hybrid-local": lambda: HybridLocalPredictor(entries=None),
-    "gdiff8": lambda: GDiffPredictor(order=8, entries=None),
-    "gdiff32": lambda: GDiffPredictor(order=32, entries=None),
-    "gdiff-hgvq": lambda: HybridGDiffPredictor(order=32, entries=None),
+    "last-value": lambda: _load("predictors.LastValuePredictor")(
+        entries=None),
+    "last-n": lambda: _load("predictors.LastNValuePredictor")(entries=None),
+    "stride": lambda: _load("predictors.StridePredictor")(entries=None),
+    "fcm": lambda: _load("predictors.FCMPredictor")(l1_entries=None),
+    "dfcm": lambda: _load("predictors.DFCMPredictor")(l1_entries=None),
+    "pi": lambda: _load("predictors.PIPredictor")(entries=None),
+    "gfcm": lambda: _load("predictors.GlobalFCMPredictor")(),
+    "hybrid-local": lambda: _load("predictors.HybridLocalPredictor")(
+        entries=None),
+    "gdiff8": lambda: _load("core.GDiffPredictor")(order=8, entries=None),
+    "gdiff32": lambda: _load("core.GDiffPredictor")(order=32, entries=None),
+    "gdiff-hgvq": lambda: _load("core.HybridGDiffPredictor")(
+        order=32, entries=None),
 }
 
 #: Pipeline value-prediction schemes exposed on the command line.  The
 #: ``gdiff-`` aliases name the paper's schemes explicitly.
 PIPELINE_SCHEMES = {
-    "stride": lambda: LocalPredictorAdapter(StridePredictor(entries=8192)),
-    "dfcm": lambda: LocalPredictorAdapter(DFCMPredictor(l1_entries=8192)),
-    "sgvq": lambda: SGVQAdapter(order=32),
-    "hgvq": lambda: HGVQAdapter(order=32),
-    "gdiff-sgvq": lambda: SGVQAdapter(order=32),
-    "gdiff-hgvq": lambda: HGVQAdapter(order=32),
+    "stride": lambda: _load("pipeline.LocalPredictorAdapter")(
+        _load("predictors.StridePredictor")(entries=8192)),
+    "dfcm": lambda: _load("pipeline.LocalPredictorAdapter")(
+        _load("predictors.DFCMPredictor")(l1_entries=8192)),
+    "sgvq": lambda: _load("pipeline.SGVQAdapter")(order=32),
+    "hgvq": lambda: _load("pipeline.HGVQAdapter")(order=32),
+    "gdiff-sgvq": lambda: _load("pipeline.SGVQAdapter")(order=32),
+    "gdiff-hgvq": lambda: _load("pipeline.HGVQAdapter")(order=32),
 }
 
 
@@ -165,11 +155,18 @@ class _Telemetry:
         self.trace_out: Optional[str] = getattr(args, "trace_out", None)
         enabled = bool(self.metrics_out or self.trace_events
                        or self.trace_out)
-        self.registry = MetricsRegistry() if enabled else None
-        self.manifest = RunManifest(
-            command,
-            {k: v for k, v in vars(args).items() if k != "command"},
-        ) if self.metrics_out else None
+        self.registry = None
+        if enabled:
+            from .telemetry.metrics import MetricsRegistry
+
+            self.registry = MetricsRegistry()
+        self.manifest = None
+        if self.metrics_out:
+            from .telemetry.manifest import RunManifest
+
+            self.manifest = RunManifest(
+                command,
+                {k: v for k, v in vars(args).items() if k != "command"})
         # Every span/event timestamp of this run is anchored to one
         # wall-clock epoch — the manifest's, so separate worker processes
         # align on one exported timeline.
@@ -179,13 +176,18 @@ class _Telemetry:
         if self.trace_out:
             tracker = self.registry.enable_spans()
             self._root_span = tracker.begin(command)
-        self.events = EventRecorder(
-            sample_rate=getattr(args, "trace_sample", 1.0),
-            seed=getattr(args, "trace_seed", 0),
-            # Stamp events onto the shared timeline only when spans are
-            # being traced; unstamped events stay byte-reproducible.
-            epoch_ns=self._epoch_ns if self.trace_out else None,
-        ) if self.trace_events else None
+        self.events = None
+        if self.trace_events:
+            from .telemetry.events import EventRecorder
+
+            self.events = EventRecorder(
+                sample_rate=getattr(args, "trace_sample", 1.0),
+                seed=getattr(args, "trace_seed", 0),
+                # Stamp events onto the shared timeline only when spans
+                # are being traced; unstamped events stay
+                # byte-reproducible.
+                epoch_ns=self._epoch_ns if self.trace_out else None,
+            )
         self.human = sys.stderr if "-" in (self.metrics_out,
                                            self.trace_events,
                                            self.trace_out) else sys.stdout
@@ -204,9 +206,11 @@ class _Telemetry:
             return _NullSpan()
         return self.registry.timer(name)
 
-    def progress(self, label: str) -> Optional[ProgressPrinter]:
+    def progress(self, label: str):
         if self._no_progress:
             return None
+        from .telemetry.progress import ProgressPrinter
+
         printer = ProgressPrinter(label=label)
         return printer if printer.enabled else None
 
@@ -216,7 +220,7 @@ class _Telemetry:
 
     def finish(self) -> None:
         if self._root_span is not None:
-            import os
+            from .telemetry.spans import write_chrome_trace
 
             tracker = self.registry.span_tracker
             tracker.end(self._root_span)
@@ -224,7 +228,7 @@ class _Telemetry:
                                        epoch_ns=self._epoch_ns,
                                        driver_pid=os.getpid(),
                                        trace_id=tracker.trace_id)
-            log.info("wrote %d spans to %s", count, self.trace_out)
+            _log().info("wrote %d spans to %s", count, self.trace_out)
             if self.trace_out != "-":
                 print(f"{count} spans saved to {self.trace_out} "
                       "(Chrome trace format; open in ui.perfetto.dev)",
@@ -237,15 +241,33 @@ class _Telemetry:
                       file=self.human)
         if self.events is not None:
             count = self.events.write(self.trace_events)
-            log.info("wrote %d sampled events to %s", count,
-                     self.trace_events)
+            _log().info("wrote %d sampled events to %s", count,
+                        self.trace_events)
             if self.trace_events != "-":
                 print(f"{count} sampled events saved to {self.trace_events}",
                       file=self.human)
 
 
+@contextlib.contextmanager
+def _shm_plane(args: argparse.Namespace) -> Iterator[None]:
+    """``--no-shm`` turns the shared-memory trace plane off for this
+    command only; the caller's ``REPRO_SHM`` is restored afterwards."""
+    if not getattr(args, "no_shm", False):
+        yield
+        return
+    saved = os.environ.get("REPRO_SHM")
+    os.environ["REPRO_SHM"] = "0"
+    try:
+        yield
+    finally:
+        if saved is None:
+            os.environ.pop("REPRO_SHM", None)
+        else:
+            os.environ["REPRO_SHM"] = saved
+
+
 def _attach_predictor_metrics(predictors: Dict[str, object],
-                              registry: Optional[MetricsRegistry]) -> None:
+                              registry) -> None:
     """Attach metrics to every predictor that supports it (gDiff family)."""
     if registry is None:
         return
@@ -256,6 +278,8 @@ def _attach_predictor_metrics(predictors: Dict[str, object],
 
 
 def _parse_benchmarks(spec: Optional[str]) -> Optional[List[str]]:
+    from .trace.workloads import BENCHMARKS
+
     if not spec:
         return None
     names = [b.strip() for b in spec.split(",") if b.strip()]
@@ -266,7 +290,21 @@ def _parse_benchmarks(spec: Optional[str]) -> Optional[List[str]]:
     return names
 
 
+def _require_workload(name: str, command: str) -> None:
+    from .trace.workloads import is_known, known_names
+
+    if not is_known(name):
+        raise SystemExit(f"{command}: unknown workload {name!r}; "
+                         f"choose from {known_names()}")
+
+
+# ---------------------------------------------------------------------------
+# Handlers: each imports what it runs.
+# ---------------------------------------------------------------------------
 def cmd_list(args: argparse.Namespace) -> int:
+    from .harness.experiments import EXPERIMENTS
+    from .trace.workloads import BENCHMARKS, get
+
     print("benchmarks:")
     for name in BENCHMARKS:
         print(f"  {name:8s} {get(name).description}")
@@ -279,6 +317,8 @@ def cmd_list(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .harness.experiments import run_experiment
+
     tele = _Telemetry(args, "run")
     kwargs = {}
     if args.length:
@@ -286,8 +326,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     benchmarks = _parse_benchmarks(args.bench)
     if benchmarks and args.experiment != "fig12":
         kwargs["benchmarks"] = benchmarks
-    log.info("running experiment %s (%s)", args.experiment,
-             kwargs or "defaults")
+    _log().info("running experiment %s (%s)", args.experiment,
+                kwargs or "defaults")
     result = run_experiment(args.experiment, registry=tele.registry, **kwargs)
     text = result.render()
     print(text, file=tele.human)
@@ -301,10 +341,12 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _trace_gen(args: argparse.Namespace) -> int:
+    from .trace.workloads import get
+
     _require_workload(args.benchmark, "trace gen")
     tele = _Telemetry(args, "trace")
-    log.info("generating %s trace (%d instructions)",
-             args.benchmark, args.length)
+    _log().info("generating %s trace (%d instructions)",
+                args.benchmark, args.length)
     with tele.timer("trace_gen") as span:
         trace = get(args.benchmark).trace(args.length)
         span.items = len(trace)
@@ -383,6 +425,8 @@ def _trace_list(args: argparse.Namespace) -> int:
 
 
 def _trace_info(args: argparse.Namespace) -> int:
+    import json
+
     from .trace.ingest import IngestError, manifest
 
     tele = _Telemetry(args, "trace-info")
@@ -408,16 +452,6 @@ def _trace_remove(args: argparse.Namespace) -> int:
         code = 1
     tele.finish()
     return code
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    return {
-        "gen": _trace_gen,
-        "import": _trace_import,
-        "list": _trace_list,
-        "info": _trace_info,
-        "remove": _trace_remove,
-    }[args.action](args)
 
 
 def cmd_workloads(args: argparse.Namespace) -> int:
@@ -465,15 +499,10 @@ def cmd_workloads(args: argparse.Namespace) -> int:
     return 2 if any(not c.ok for c in checks) else 0
 
 
-def _require_workload(name: str, command: str) -> None:
-    from .trace.workloads import is_known, known_names
-
-    if not is_known(name):
-        raise SystemExit(f"{command}: unknown workload {name!r}; "
-                         f"choose from {known_names()}")
-
-
 def cmd_predict(args: argparse.Namespace) -> int:
+    from .harness.runner import run_value_prediction
+    from .trace.workloads import get
+
     _require_workload(args.benchmark, "predict")
     names = [p.strip() for p in args.predictors.split(",") if p.strip()]
     unknown = [p for p in names if p not in PREDICTORS]
@@ -481,8 +510,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
         raise SystemExit(f"unknown predictor(s): {unknown}; "
                          f"choose from {sorted(PREDICTORS)}")
     tele = _Telemetry(args, "predict")
-    log.info("predicting %s over %s (%d instructions, gated=%s)",
-             ", ".join(names), args.benchmark, args.length, args.gated)
+    _log().info("predicting %s over %s (%d instructions, gated=%s)",
+                ", ".join(names), args.benchmark, args.length, args.gated)
     with tele.timer("trace_gen") as span:
         trace = get(args.benchmark).trace(args.length)
         span.items = len(trace)
@@ -517,6 +546,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from .pipeline.ooo import OutOfOrderCore
+    from .trace.workloads import get
+
     _require_workload(args.benchmark, "simulate")
     adapter = None
     if args.vp:
@@ -534,8 +566,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                           speculate=args.speculate,
                           track_value_delay=True,
                           metrics=tele.registry)
-    log.info("simulating %s (%d instructions, vp=%s, speculate=%s)",
-             args.benchmark, args.length, args.vp, args.speculate)
+    _log().info("simulating %s (%d instructions, vp=%s, speculate=%s)",
+                args.benchmark, args.length, args.vp, args.speculate)
     with tele.timer("trace_gen") as span:
         trace = get(args.benchmark).trace(args.length)
         span.items = len(trace)
@@ -577,6 +609,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _parse_experiments(spec: Optional[str]) -> List[str]:
+    from .harness.experiments import EXPERIMENTS
+
     if not spec:
         return sorted(EXPERIMENTS)
     names = [e.strip() for e in spec.split(",") if e.strip()]
@@ -609,6 +643,10 @@ def _profiled(fn):
 
 
 def cmd_run_all(args: argparse.Namespace) -> int:
+    import json
+
+    from .harness.parallel import run_experiments
+
     tele = _Telemetry(args, "run-all")
     names = _parse_experiments(args.experiments)
     common: Dict[str, object] = {}
@@ -621,16 +659,14 @@ def cmd_run_all(args: argparse.Namespace) -> int:
         kwargs_for = {name: {"benchmarks": benchmarks}
                       for name in names if name != "fig12"}
     progress = tele.progress("run-all: ")
-    if getattr(args, "no_shm", False):
-        os.environ["REPRO_SHM"] = "0"
     jobs = args.jobs
-    if getattr(args, "profile", False):
+    if args.profile:
         # Worker processes are invisible to the parent's profiler; a
         # profiled run is serial so the numbers mean something.
         jobs = 1
-    log.info("running %d experiments with jobs=%s", len(names),
-             jobs or "auto")
-    with tele.timer("run_all") as span:
+    _log().info("running %d experiments with jobs=%s", len(names),
+                jobs or "auto")
+    with _shm_plane(args), tele.timer("run_all") as span:
         runner = lambda: run_experiments(  # noqa: E731
             names,
             max_workers=jobs,
@@ -639,8 +675,7 @@ def cmd_run_all(args: argparse.Namespace) -> int:
             registry=tele.registry,
             on_progress=progress,
         )
-        results = (_profiled(runner) if getattr(args, "profile", False)
-                   else runner())
+        results = _profiled(runner) if args.profile else runner()
         span.items = len(results)
     if progress is not None:
         progress.close()
@@ -666,6 +701,9 @@ def cmd_run_all(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
+    from .trace.cache import cache_enabled, default_cache
+    from .trace.workloads import BENCHMARKS
+
     tele = _Telemetry(args, "cache")
     cache = default_cache(metrics=tele.registry)
     out = tele.human
@@ -713,6 +751,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
 def _parse_set(entries: Optional[List[str]]) -> Dict[str, object]:
     """Parse repeated ``--set key=value`` flags; values are JSON when they
     parse as JSON (``--set 'benchmarks=["gcc","mcf"]'``), else strings."""
+    import json
+
     sets: Dict[str, object] = {}
     for entry in entries or []:
         key, sep, raw = entry.partition("=")
@@ -732,9 +772,8 @@ def _campaign_target(args: argparse.Namespace):
     resolved cells, so no spec file is needed); a file is parsed as a
     spec, with the store at ``--dir`` or ``campaigns/<name>``.
     """
-    import os
-
-    from .campaign import CampaignSpec, CampaignStore, SpecError, StoreError
+    from .campaign.spec import CampaignSpec, SpecError
+    from .campaign.store import CampaignStore, StoreError
 
     target = args.target
     try:
@@ -745,7 +784,7 @@ def _campaign_target(args: argparse.Namespace):
             spec = CampaignSpec.load(target)
             store = CampaignStore(
                 args.dir or os.path.join("campaigns", spec.name))
-        spec.apply_sets(_parse_set(getattr(args, "set", None)))
+        spec.apply_sets(_parse_set(args.set))
         return spec, store
     except (SpecError, StoreError) as exc:
         raise SystemExit(str(exc))
@@ -777,39 +816,161 @@ def _watch_campaign(spec, store, frame_fn, out, interval: float) -> None:
         print("", file=out)
 
 
+def _campaign_run(args: argparse.Namespace) -> int:
+    """``campaign run|resume``: drive pending cells through the pool."""
+    from .campaign import CampaignScheduler, RetryPolicy, StoreError
+
+    tele = _Telemetry(args, f"campaign-{args.action}")
+    spec, store = _campaign_target(args)
+    out = tele.human
+    if args.action == "resume" and not store.exists():
+        raise SystemExit(f"nothing to resume: {store.root} does not "
+                         "exist (use 'campaign run')")
+    try:
+        store.create(spec)
+    except StoreError as exc:
+        raise SystemExit(str(exc))
+    progress = tele.progress(f"campaign {spec.name}: ")
+    scheduler = CampaignScheduler(
+        spec, store,
+        max_workers=args.jobs,
+        retry=RetryPolicy(max_attempts=args.max_attempts,
+                          backoff_base_s=args.backoff),
+        registry=tele.registry,
+        on_progress=progress,
+        stop_after=args.stop_after,
+        warm=not args.no_warm,
+    )
+    _log().info("campaign %s: %d cells into %s", spec.name,
+                len(spec.cells()), store.root)
+    with _shm_plane(args), tele.timer("campaign") as span:
+        summary = scheduler.run()
+        span.items = summary.completed
+    if progress is not None:
+        progress.close()
+    print(f"campaign {spec.name} at {store.root}: "
+          f"{summary.completed} executed, {summary.skipped} skipped, "
+          f"{summary.quarantined} quarantined "
+          f"({summary.retried} retries, {summary.crashes} worker "
+          "crashes)", file=out)
+    if summary.stopped_early:
+        print(f"stopped after {args.stop_after} cells; "
+              "'campaign resume' continues", file=out)
+    for label in summary.quarantined_labels:
+        print(f"  quarantined: {label}", file=out)
+    counts = store.counts()
+    tele.add("campaign", {
+        "name": spec.name,
+        "dir": str(store.root),
+        "executed": summary.completed,
+        "skipped": summary.skipped,
+        "retried": summary.retried,
+        "quarantined": summary.quarantined,
+        "crashes": summary.crashes,
+        "stopped_early": summary.stopped_early,
+        "store": counts,
+    })
+    tele.finish()
+    return 1 if counts.get("quarantined") else 0
+
+
+def _open_campaign(args: argparse.Namespace):
+    """(telemetry, spec, store) of an existing campaign store."""
+    tele = _Telemetry(args, f"campaign-{args.action}")
+    spec, store = _campaign_target(args)
+    if not store.exists():
+        raise SystemExit(f"{store.root} is not a campaign directory")
+    return tele, spec, store
+
+
+def _campaign_status(args: argparse.Namespace) -> int:
+    from .campaign import status_lines, watch_lines
+
+    tele, spec, store = _open_campaign(args)
+    if args.watch:
+        _watch_campaign(spec, store, watch_lines, tele.human, args.interval)
+    else:
+        print("\n".join(status_lines(spec, store)), file=tele.human)
+    tele.add("campaign", {"name": spec.name, "store": store.counts()})
+    tele.finish()
+    return 0
+
+
+def _campaign_report(args: argparse.Namespace) -> int:
+    from .campaign import render_report
+
+    tele, spec, store = _open_campaign(args)
+    out = tele.human
+    text = render_report(spec, store)
+    print(text, file=out)
+    if args.telemetry:
+        from .campaign import telemetry_lines
+
+        print("", file=out)
+        print("\n".join(telemetry_lines(spec, store)), file=out)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        print(f"\nsaved to {args.out}", file=out)
+    exit_code = 0
+    if args.check:
+        from .campaign import check_fidelity, render_checks
+
+        checks = check_fidelity(spec, store)
+        print("", file=out)
+        print(render_checks(checks), file=out)
+        if not checks:
+            print("  (spec declares no fidelity targets)", file=out)
+        if any(not c.ok for c in checks):
+            exit_code = 2
+        tele.add("fidelity", [
+            {"label": c.label, "target": c.target, "tol": c.tol,
+             "actual": c.actual, "ok": c.ok, "error": c.error}
+            for c in checks])
+    tele.add("campaign", {"name": spec.name, "store": store.counts()})
+    tele.finish()
+    return exit_code
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     """``repro bench history|check`` — the perf trajectory and its gate."""
-    from .bench import check_history, load_history
-    from .bench.history import render_history
+    from .bench.history import (
+        DEFAULT_BASELINE_N,
+        DEFAULT_HISTORY_PATH,
+        check_history,
+        load_history,
+        render_history,
+    )
 
     tele = _Telemetry(args, f"bench-{args.action}")
     out = tele.human
-    records = load_history(args.file)
+    path = args.file or DEFAULT_HISTORY_PATH
+    records = load_history(path)
     if args.action == "history":
         print("\n".join(render_history(records, last_n=args.last or None)),
               file=out)
-        tele.add("bench_history", {"file": args.file,
-                                   "records": len(records)})
+        tele.add("bench_history", {"file": path, "records": len(records)})
         tele.finish()
         return 0
 
     # check
-    ok, results = check_history(records, last_n=args.last,
+    last = DEFAULT_BASELINE_N if args.last is None else args.last
+    ok, results = check_history(records, last_n=last,
                                 slow_tol=args.slow_tol,
                                 floor_tol=args.floor_tol)
     if not results:
         print(f"bench check: no baseline yet ({len(records)} record(s) in "
-              f"{args.file}); passing vacuously", file=out)
+              f"{path}); passing vacuously", file=out)
     else:
         gated = [r for r in results if r.direction != "info"]
         failed = [r for r in results if not r.ok]
-        print(f"bench check: latest vs median of last {args.last} "
+        print(f"bench check: latest vs median of last {last} "
               f"({len(gated)} gated metrics, {len(failed)} regressed)",
               file=out)
         for result in results:
             print(result.render(), file=out)
     tele.add("bench_check", {
-        "file": args.file,
+        "file": path,
         "ok": ok,
         "records": len(records),
         "results": [{"metric": r.metric, "direction": r.direction,
@@ -822,20 +983,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """``repro serve`` — the long-lived online prediction daemon."""
-    from .serve.engine import ServeConfig, default_spool, run_serve
+    from .serve.engine import ServeConfig, run_serve
 
     tele = _Telemetry(args, "serve")
-    config = ServeConfig(
-        host=args.host,
-        port=None if args.stdio else args.port,
-        stdio=args.stdio,
-        shards=args.shards,
-        max_streams=args.max_streams,
-        high_water=args.high_water,
-        batch_events=args.batch_events,
-        backend=args.backend,
-        spool=args.spool or default_spool(),
-    )
+    # Flags left unset keep ServeConfig's defaults (the values --help
+    # quotes).
+    given = {"port": args.port, "shards": args.shards,
+             "high_water": args.high_water,
+             "batch_events": args.batch_events, "spool": args.spool or None}
+    config = ServeConfig(host=args.host, stdio=args.stdio,
+                         max_streams=args.max_streams, backend=args.backend,
+                         **{k: v for k, v in given.items() if v is not None})
+    if args.stdio:
+        config.port = None
     engine = run_serve(config, registry=tele.registry, announce=tele.human)
     tele.add("serve", engine.daemon_stats())
     tele.finish()
@@ -844,22 +1004,20 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_loadgen(args: argparse.Namespace) -> int:
     """``repro loadgen`` — drive a running daemon, report QPS/latency."""
+    from .serve.engine import DEFAULT_PORT
     from .serve.loadgen import DEFAULT_WORKLOADS, run_loadgen
 
     tele = _Telemetry(args, "loadgen")
     out = tele.human
+    port = DEFAULT_PORT if args.port is None else args.port
     workloads = (tuple(b.strip() for b in args.bench.split(",") if b.strip())
                  if args.bench else DEFAULT_WORKLOADS)
     if args.trace:
-        from .trace.workloads import is_known, known_names
-
-        if not is_known(args.trace):
-            raise SystemExit(f"loadgen: unknown workload {args.trace!r}; "
-                             f"choose from {known_names()}")
+        _require_workload(args.trace, "loadgen")
         workloads = (args.trace,)
     try:
         report = run_loadgen(
-            args.host, args.port,
+            args.host, port,
             streams=args.streams,
             events_per_stream=args.events,
             frame_events=args.frame_events,
@@ -872,7 +1030,7 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
             timeout=args.timeout,
         )
     except (ConnectionError, OSError) as exc:
-        raise SystemExit(f"loadgen: cannot reach {args.host}:{args.port} "
+        raise SystemExit(f"loadgen: cannot reach {args.host}:{port} "
                          f"({exc})")
     print(f"loadgen [{report['mode']}]: {report['streams']} streams x "
           f"{args.events} events ({report['predictor']}"
@@ -903,115 +1061,9 @@ def cmd_loadgen(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def cmd_campaign(args: argparse.Namespace) -> int:
-    from .campaign import (
-        CampaignScheduler,
-        RetryPolicy,
-        StoreError,
-        check_fidelity,
-        render_checks,
-        render_report,
-        status_lines,
-        telemetry_lines,
-        watch_lines,
-    )
-
-    tele = _Telemetry(args, f"campaign-{args.action}")
-    spec, store = _campaign_target(args)
-    out = tele.human
-
-    if args.action in ("run", "resume"):
-        if getattr(args, "no_shm", False):
-            os.environ["REPRO_SHM"] = "0"
-        if args.action == "resume" and not store.exists():
-            raise SystemExit(f"nothing to resume: {store.root} does not "
-                             "exist (use 'campaign run')")
-        try:
-            store.create(spec)
-        except StoreError as exc:
-            raise SystemExit(str(exc))
-        progress = tele.progress(f"campaign {spec.name}: ")
-        scheduler = CampaignScheduler(
-            spec, store,
-            max_workers=args.jobs,
-            retry=RetryPolicy(max_attempts=args.max_attempts,
-                              backoff_base_s=args.backoff),
-            registry=tele.registry,
-            on_progress=progress,
-            stop_after=args.stop_after,
-            warm=not args.no_warm,
-        )
-        log.info("campaign %s: %d cells into %s", spec.name,
-                 len(spec.cells()), store.root)
-        with tele.timer("campaign") as span:
-            summary = scheduler.run()
-            span.items = summary.completed
-        if progress is not None:
-            progress.close()
-        print(f"campaign {spec.name} at {store.root}: "
-              f"{summary.completed} executed, {summary.skipped} skipped, "
-              f"{summary.quarantined} quarantined "
-              f"({summary.retried} retries, {summary.crashes} worker "
-              "crashes)", file=out)
-        if summary.stopped_early:
-            print(f"stopped after {args.stop_after} cells; "
-                  "'campaign resume' continues", file=out)
-        for label in summary.quarantined_labels:
-            print(f"  quarantined: {label}", file=out)
-        counts = store.counts()
-        tele.add("campaign", {
-            "name": spec.name,
-            "dir": str(store.root),
-            "executed": summary.completed,
-            "skipped": summary.skipped,
-            "retried": summary.retried,
-            "quarantined": summary.quarantined,
-            "crashes": summary.crashes,
-            "stopped_early": summary.stopped_early,
-            "store": counts,
-        })
-        tele.finish()
-        return 1 if counts.get("quarantined") else 0
-
-    if not store.exists():
-        raise SystemExit(f"{store.root} is not a campaign directory")
-    if args.action == "status":
-        if args.watch:
-            _watch_campaign(spec, store, watch_lines, out, args.interval)
-        else:
-            print("\n".join(status_lines(spec, store)), file=out)
-        tele.add("campaign", {"name": spec.name, "store": store.counts()})
-        tele.finish()
-        return 0
-
-    # report
-    text = render_report(spec, store)
-    print(text, file=out)
-    if args.telemetry:
-        print("", file=out)
-        print("\n".join(telemetry_lines(spec, store)), file=out)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"\nsaved to {args.out}", file=out)
-    exit_code = 0
-    if args.check:
-        checks = check_fidelity(spec, store)
-        print("", file=out)
-        print(render_checks(checks), file=out)
-        if not checks:
-            print("  (spec declares no fidelity targets)", file=out)
-        if any(not c.ok for c in checks):
-            exit_code = 2
-        tele.add("fidelity", [
-            {"label": c.label, "target": c.target, "tol": c.tol,
-             "actual": c.actual, "ok": c.ok, "error": c.error}
-            for c in checks])
-    tele.add("campaign", {"name": spec.name, "store": store.counts()})
-    tele.finish()
-    return exit_code
-
-
+# ---------------------------------------------------------------------------
+# Arguments: one builder per (leaf) subcommand.
+# ---------------------------------------------------------------------------
 def _sample_rate(text: str) -> float:
     """argparse type for ``--trace-sample``: a float within [0, 1]."""
     try:
@@ -1024,7 +1076,19 @@ def _sample_rate(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _experiment(name: str) -> str:
+    """argparse type for an experiment id; the registry is imported only
+    when a ``run`` command is actually parsed."""
+    from .harness.experiments import EXPERIMENTS
+
+    if name not in EXPERIMENTS:
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {name!r} (choose from "
+            f"{', '.join(sorted(EXPERIMENTS))})")
+    return name
+
+
+def _telemetry_parent() -> argparse.ArgumentParser:
     telemetry = argparse.ArgumentParser(add_help=False)
     group = telemetry.add_argument_group("telemetry")
     group.add_argument("-v", "--verbose", action="count", default=0,
@@ -1046,336 +1110,352 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sampling RNG seed (default 0)")
     group.add_argument("--no-progress", action="store_true",
                        help="disable the TTY progress line")
+    return telemetry
 
+
+_WORKLOAD_HELP = "suite benchmark, adversarial scenario, or imported workload"
+_NO_SHM_HELP = ("disable the shared-memory trace plane (workers load "
+                "traces from the disk cache)")
+
+
+def _run_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("experiment", type=_experiment,
+                   help="experiment id (see 'repro list')")
+    p.add_argument("--length", type=int, default=None,
+                   help="trace length per benchmark")
+    p.add_argument("--bench", help="comma-separated benchmark subset")
+    p.add_argument("--out", help="also save the rendered table here")
+
+
+def _trace_gen_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("benchmark", help=_WORKLOAD_HELP)
+    p.add_argument("--length", type=int, default=100_000)
+    p.add_argument("--out", help="save the trace (.trace / .trace.gz)")
+
+
+def _trace_import_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("source", nargs="?",
+                   help="trace dump: .csv/.ndjson interchange, .cvp, "
+                        "or .champsim (each optionally .gz)")
+    p.add_argument("--format",
+                   help="adapter name (default: detect from the source "
+                        "suffix)")
+    p.add_argument("--capture", metavar="SCRIPT",
+                   help="run a Python script under the bytecode capture "
+                        "hook instead of reading a dump")
+    p.add_argument("--arg", action="append", metavar="ARG",
+                   help="argv entry for --capture (repeatable)")
+    p.add_argument("--scope", choices=("script", "tree", "all"),
+                   default="script",
+                   help="which frames --capture records: the script file, "
+                        "its directory tree, or everything (default "
+                        "script)")
+    p.add_argument("--name", help="workload name (default: derived from "
+                                  "the source filename)")
+    p.add_argument("--limit", type=int, default=None,
+                   help="stop after N events")
+    p.add_argument("--force", action="store_true",
+                   help="replace an existing import of the same name")
+
+
+def _name_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("name")
+
+
+def _workloads_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--groups", default="suite,adversarial,imported",
+                   help="comma-separated bank groups (default: all)")
+    p.add_argument("--only", help="comma-separated workload subset")
+    p.add_argument("--predictors", default="stride,dfcm,gdiff8,gdiff32",
+                   help="comma-separated zoo subset "
+                        "(default stride,dfcm,gdiff8,gdiff32)")
+    p.add_argument("--length", type=int, default=None,
+                   help="trace length (default: the adversarial bank's "
+                        "calibrated length)")
+    p.add_argument("--check", action="store_true",
+                   help="gate adversarial accuracies against their "
+                        "declared bands; exit 2 on drift")
+    p.add_argument("--smoke", action="store_true",
+                   help="CI shape: adversarial + imported groups at the "
+                        "calibrated length with --check")
+
+
+def _predict_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("benchmark", help=_WORKLOAD_HELP)
+    p.add_argument("--length", type=int, default=100_000)
+    p.add_argument("--predictors", default="stride,dfcm,gdiff8,gdiff32")
+    p.add_argument("--gated", action="store_true",
+                   help="apply the 3-bit confidence gate")
+
+
+def _simulate_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("benchmark", help=_WORKLOAD_HELP)
+    p.add_argument("--length", type=int, default=50_000)
+    p.add_argument("--vp", help="value-prediction scheme (stride|dfcm|sgvq|"
+                                "hgvq|gdiff-sgvq|gdiff-hgvq)")
+    p.add_argument("--speculate", action="store_true",
+                   help="break dependencies on confident predictions")
+
+
+def _run_all_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--experiments",
+                   help="comma-separated experiment subset (default: all)")
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker processes (default: all cores; 1 = serial)")
+    p.add_argument("--length", type=int, default=None,
+                   help="trace length per benchmark")
+    p.add_argument("--bench", help="comma-separated benchmark subset")
+    p.add_argument("--out-dir",
+                   help="save each experiment's table (.txt) and data "
+                        "(.json) here")
+    p.add_argument("--profile", action="store_true",
+                   help="run under cProfile (serial) and print the top-20 "
+                        "cumulative entries to stderr")
+    p.add_argument("--no-shm", action="store_true", help=_NO_SHM_HELP)
+
+
+def _cache_warm_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--length", type=int, default=100_000)
+    p.add_argument("--code-copies", type=int, default=1)
+    p.add_argument("--bench", help="comma-separated benchmark subset")
+
+
+def _campaign_target_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("target",
+                   help="campaign spec (.toml/.json) or an existing "
+                        "campaign directory")
+    p.add_argument("--dir", help="campaign directory (default: "
+                                 "campaigns/<name>)")
+    p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                   help="override a parameter in every cell (repeatable; "
+                        "value parsed as JSON when possible)")
+
+
+def _campaign_run_args(p: argparse.ArgumentParser) -> None:
+    _campaign_target_args(p)
+    p.add_argument("--jobs", type=int, default=None,
+                   help="worker processes (default: all cores; "
+                        "1 = in-process)")
+    p.add_argument("--max-attempts", type=int, default=3,
+                   help="attempts per cell before quarantine (default 3)")
+    p.add_argument("--backoff", type=float, default=0.25, metavar="SECONDS",
+                   help="base retry backoff, doubled per round and capped "
+                        "(default 0.25)")
+    p.add_argument("--stop-after", type=int, default=None, metavar="N",
+                   help="stop cleanly after executing N new cells (for "
+                        "testing interrupt/resume)")
+    p.add_argument("--no-warm", action="store_true",
+                   help="skip the up-front trace cache warm")
+    p.add_argument("--no-shm", action="store_true", help=_NO_SHM_HELP)
+
+
+def _campaign_status_args(p: argparse.ArgumentParser) -> None:
+    _campaign_target_args(p)
+    p.add_argument("--watch", action="store_true",
+                   help="live-refreshing progress view (bar, throughput, "
+                        "ETA) until the campaign completes; Ctrl-C exits")
+    p.add_argument("--interval", type=float, default=2.0, metavar="SECONDS",
+                   help="refresh period for --watch (default 2)")
+
+
+def _campaign_report_args(p: argparse.ArgumentParser) -> None:
+    _campaign_target_args(p)
+    p.add_argument("--check", action="store_true",
+                   help="run the paper-fidelity gate; exit 2 on drift")
+    p.add_argument("--telemetry", action="store_true",
+                   help="append the execution-telemetry section (slowest "
+                        "cells, retries/quarantine, cache hit rate)")
+    p.add_argument("--out", help="also save the report here")
+
+
+# Defaults the handlers resolve from the subsystem they import; --help
+# quotes them (tests/test_startup.py keeps the quotes honest).
+def _bench_file_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--file", default=None, metavar="JSONL",
+                   help="history file (default "
+                        "benchmarks/results/history.jsonl)")
+
+
+def _bench_history_args(p: argparse.ArgumentParser) -> None:
+    _bench_file_arg(p)
+    p.add_argument("--last", type=int, default=0, metavar="N",
+                   help="show only the last N records (default: all)")
+
+
+def _bench_check_args(p: argparse.ArgumentParser) -> None:
+    _bench_file_arg(p)
+    p.add_argument("--last", type=int, default=None, metavar="N",
+                   help="baseline = median of the last N prior records "
+                        "(default 5)")
+    p.add_argument("--slow-tol", type=float, default=1.75, metavar="RATIO",
+                   help="wall times may grow to RATIO x baseline before "
+                        "failing (default 1.75)")
+    p.add_argument("--floor-tol", type=float, default=0.6, metavar="RATIO",
+                   help="speedups may shrink to RATIO x baseline before "
+                        "failing (default 0.6)")
+
+
+def _serve_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--host", default="127.0.0.1",
+                   help="bind address (default 127.0.0.1)")
+    p.add_argument("--port", type=int, default=None,
+                   help="listen port; 0 = ephemeral (default 9477)")
+    p.add_argument("--stdio", action="store_true",
+                   help="speak frames on stdin/stdout instead of a socket "
+                        "(for subprocess embedding)")
+    p.add_argument("--shards", type=int, default=None,
+                   help="predictor shards = pinned pool workers "
+                        "(default 4)")
+    p.add_argument("--max-streams", type=int, default=0, metavar="N",
+                   help="resident streams per shard before LRU eviction "
+                        "to snapshots (0 = default)")
+    p.add_argument("--high-water", type=int, default=None, metavar="FRAMES",
+                   help="queued frames per shard before BUSY "
+                        "(default 256)")
+    p.add_argument("--batch-events", type=int, default=None,
+                   metavar="EVENTS",
+                   help="events coalesced per shard dispatch "
+                        "(default 32768)")
+    p.add_argument("--backend", choices=("pool", "inproc"), default="pool",
+                   help="pool = sharded worker processes (default); "
+                        "inproc = single-process, for debugging")
+    p.add_argument("--spool", help="snapshot spool directory for evicted "
+                                   "streams")
+
+
+def _loadgen_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument("--port", type=int, default=None,
+                   help="daemon port (default 9477)")
+    p.add_argument("--streams", type=int, default=64,
+                   help="concurrent streams (default 64)")
+    p.add_argument("--events", type=int, default=2000,
+                   help="events per stream (default 2000)")
+    p.add_argument("--frame-events", type=int, default=256,
+                   help="events per frame (default 256)")
+    p.add_argument("--predictor", default="gdiff32",
+                   help="per-stream predictor spec (default gdiff32)")
+    p.add_argument("--gated", action="store_true",
+                   help="apply the 3-bit confidence gate")
+    p.add_argument("--mode", choices=("closed", "open"), default="closed",
+                   help="closed = one frame in flight per stream "
+                        "(default); open = fixed offered rate")
+    p.add_argument("--rate", type=float, default=None,
+                   metavar="EVENTS_PER_S",
+                   help="offered rate for --mode open")
+    p.add_argument("--bench", help="comma-separated workload subset for "
+                                   "stream content")
+    p.add_argument("--trace", metavar="NAME",
+                   help="replay one workload (e.g. an imported trace) on "
+                        "every stream; overrides --bench")
+    p.add_argument("--verify", action="store_true",
+                   help="after the run, check every stream's stats are "
+                        "bit-identical to the batch harness (closed mode)")
+    p.add_argument("--timeout", type=float, default=120.0,
+                   help="socket timeout in seconds (default 120)")
+
+
+# ---------------------------------------------------------------------------
+# The command table and the dispatcher.
+# ---------------------------------------------------------------------------
+class Command(NamedTuple):
+    """One subcommand: a leaf with a handler, or a group of action words
+    (``trace gen|import|…``), each a leaf of its own.  Telemetry flags
+    live on the leaves only: on a group they would be reset by the
+    leaf's defaults when given before the action word."""
+
+    help: str
+    handler: Optional[Callable[[argparse.Namespace], int]] = None
+    args: Optional[Callable[[argparse.ArgumentParser], None]] = None
+    actions: Optional[Dict[str, "Command"]] = None
+
+
+#: Every subcommand, in ``repro --help`` order.
+COMMANDS: Dict[str, Command] = {
+    "list": Command("list benchmarks, experiments, predictors", cmd_list),
+    "run": Command("regenerate a paper table/figure", cmd_run, _run_args),
+    "trace": Command(
+        "generate, import, or inspect workload traces (docs/WORKLOADS.md)",
+        actions={
+            "gen": Command("generate a workload trace", _trace_gen,
+                           _trace_gen_args),
+            "import": Command("convert an external value/address stream "
+                              "into a first-class workload", _trace_import,
+                              _trace_import_args),
+            "list": Command("list imported workloads", _trace_list),
+            "info": Command("print an import's provenance manifest",
+                            _trace_info, _name_arg),
+            "remove": Command("delete an imported workload", _trace_remove,
+                              _name_arg),
+        }),
+    "workloads": Command("sweep the workload bank (suite + adversarial + "
+                         "imported) through the predictor zoo",
+                         cmd_workloads, _workloads_args),
+    "predict": Command("profile accuracy comparison", cmd_predict,
+                       _predict_args),
+    "simulate": Command("run the OOO core", cmd_simulate, _simulate_args),
+    "run-all": Command("run the experiment registry in parallel",
+                       cmd_run_all, _run_all_args),
+    "cache": Command("manage the on-disk trace cache", actions={
+        "stats": Command("entry count, sizes, hit/miss counters",
+                         cmd_cache),
+        "warm": Command("pre-generate benchmark traces", cmd_cache,
+                        _cache_warm_args),
+        "clear": Command("delete every cache entry", cmd_cache),
+    }),
+    "campaign": Command(
+        "declarative, resumable experiment campaigns (docs/CAMPAIGNS.md)",
+        actions={
+            "run": Command("execute pending cells (skips completed ones)",
+                           _campaign_run, _campaign_run_args),
+            "resume": Command("continue an interrupted campaign",
+                              _campaign_run, _campaign_run_args),
+            "status": Command("per-cell completion state from the store",
+                              _campaign_status, _campaign_status_args),
+            "report": Command("render result tables from the store alone",
+                              _campaign_report, _campaign_report_args),
+        }),
+    "bench": Command(
+        "benchmark perf history and its regression gate "
+        "(docs/OBSERVABILITY.md)",
+        actions={
+            "history": Command("list recorded bench sessions, newest last",
+                               cmd_bench, _bench_history_args),
+            "check": Command("gate the latest session against the median "
+                             "of the last N; exit 2 on regression",
+                             cmd_bench, _bench_check_args),
+        }),
+    "serve": Command("online prediction daemon (docs/SERVING.md)",
+                     cmd_serve, _serve_args),
+    "loadgen": Command("drive a running daemon; report QPS and latency "
+                       "percentiles", cmd_loadgen, _loadgen_args),
+}
+
+
+def _add_leaf(sub, name: str, command: Command,
+              telemetry: argparse.ArgumentParser) -> None:
+    parser = sub.add_parser(name, parents=[telemetry], help=command.help)
+    if command.args is not None:
+        command.args(parser)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    telemetry = _telemetry_parent()
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Detecting Global Stride Locality in "
                     "Value Streams' (ISCA 2003)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("list", parents=[telemetry],
-                   help="list benchmarks, experiments, predictors")
-
-    p_run = sub.add_parser("run", parents=[telemetry],
-                           help="regenerate a paper table/figure")
-    p_run.add_argument("experiment", choices=sorted(EXPERIMENTS))
-    p_run.add_argument("--length", type=int, default=None,
-                       help="trace length per benchmark")
-    p_run.add_argument("--bench", help="comma-separated benchmark subset")
-    p_run.add_argument("--out", help="also save the rendered table here")
-
-    # Like ``cache``, the trace command carries nested actions; telemetry
-    # flags live on the leaf parsers only.  ``main()`` rewrites the
-    # historical ``repro trace <benchmark>`` to ``trace gen <benchmark>``.
-    p_trace = sub.add_parser("trace",
-                             help="generate, import, or inspect workload "
-                                  "traces (docs/WORKLOADS.md)")
-    trace_sub = p_trace.add_subparsers(dest="action", required=True)
-    p_tgen = trace_sub.add_parser("gen", parents=[telemetry],
-                                  help="generate a workload trace")
-    p_tgen.add_argument("benchmark",
-                        help="suite benchmark, adversarial scenario, or "
-                             "imported workload")
-    p_tgen.add_argument("--length", type=int, default=100_000)
-    p_tgen.add_argument("--out", help="save the trace (.trace / .trace.gz)")
-    p_timp = trace_sub.add_parser(
-        "import", parents=[telemetry],
-        help="convert an external value/address stream into a "
-             "first-class workload")
-    p_timp.add_argument("source", nargs="?",
-                        help="trace dump: .csv/.ndjson interchange, .cvp, "
-                             "or .champsim (each optionally .gz)")
-    p_timp.add_argument("--format",
-                        help="adapter name (default: detect from the "
-                             "source suffix)")
-    p_timp.add_argument("--capture", metavar="SCRIPT",
-                        help="run a Python script under the bytecode "
-                             "capture hook instead of reading a dump")
-    p_timp.add_argument("--arg", action="append", metavar="ARG",
-                        help="argv entry for --capture (repeatable)")
-    p_timp.add_argument("--scope", choices=("script", "tree", "all"),
-                        default="script",
-                        help="which frames --capture records: the script "
-                             "file, its directory tree, or everything "
-                             "(default script)")
-    p_timp.add_argument("--name", help="workload name (default: derived "
-                                       "from the source filename)")
-    p_timp.add_argument("--limit", type=int, default=None,
-                        help="stop after N events")
-    p_timp.add_argument("--force", action="store_true",
-                        help="replace an existing import of the same name")
-    trace_sub.add_parser("list", parents=[telemetry],
-                         help="list imported workloads")
-    p_tinfo = trace_sub.add_parser("info", parents=[telemetry],
-                                   help="print an import's provenance "
-                                        "manifest")
-    p_tinfo.add_argument("name")
-    p_trm = trace_sub.add_parser("remove", parents=[telemetry],
-                                 help="delete an imported workload")
-    p_trm.add_argument("name")
-
-    p_work = sub.add_parser("workloads", parents=[telemetry],
-                            help="sweep the workload bank (suite + "
-                                 "adversarial + imported) through the "
-                                 "predictor zoo")
-    p_work.add_argument("--groups", default="suite,adversarial,imported",
-                        help="comma-separated bank groups (default: all)")
-    p_work.add_argument("--only", help="comma-separated workload subset")
-    p_work.add_argument("--predictors",
-                        default="stride,dfcm,gdiff8,gdiff32",
-                        help="comma-separated zoo subset "
-                             "(default stride,dfcm,gdiff8,gdiff32)")
-    p_work.add_argument("--length", type=int, default=None,
-                        help="trace length (default: the adversarial "
-                             "bank's calibrated length)")
-    p_work.add_argument("--check", action="store_true",
-                        help="gate adversarial accuracies against their "
-                             "declared bands; exit 2 on drift")
-    p_work.add_argument("--smoke", action="store_true",
-                        help="CI shape: adversarial + imported groups at "
-                             "the calibrated length with --check")
-
-    p_pred = sub.add_parser("predict", parents=[telemetry],
-                            help="profile accuracy comparison")
-    p_pred.add_argument("benchmark",
-                        help="suite benchmark, adversarial scenario, or "
-                             "imported workload")
-    p_pred.add_argument("--length", type=int, default=100_000)
-    p_pred.add_argument("--predictors",
-                        default="stride,dfcm,gdiff8,gdiff32")
-    p_pred.add_argument("--gated", action="store_true",
-                        help="apply the 3-bit confidence gate")
-
-    p_sim = sub.add_parser("simulate", parents=[telemetry],
-                           help="run the OOO core")
-    p_sim.add_argument("benchmark",
-                       help="suite benchmark, adversarial scenario, or "
-                            "imported workload")
-    p_sim.add_argument("--length", type=int, default=50_000)
-    p_sim.add_argument("--vp", help="value-prediction scheme "
-                                    "(stride|dfcm|sgvq|hgvq|gdiff-sgvq|"
-                                    "gdiff-hgvq)")
-    p_sim.add_argument("--speculate", action="store_true",
-                       help="break dependencies on confident predictions")
-
-    p_all = sub.add_parser("run-all", parents=[telemetry],
-                           help="run the experiment registry in parallel")
-    p_all.add_argument("--experiments",
-                       help="comma-separated experiment subset "
-                            "(default: all)")
-    p_all.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: all cores; "
-                            "1 = serial)")
-    p_all.add_argument("--length", type=int, default=None,
-                       help="trace length per benchmark")
-    p_all.add_argument("--bench", help="comma-separated benchmark subset")
-    p_all.add_argument("--out-dir",
-                       help="save each experiment's table (.txt) and data "
-                            "(.json) here")
-    p_all.add_argument("--profile", action="store_true",
-                       help="run under cProfile (serial) and print the "
-                            "top-20 cumulative entries to stderr")
-    p_all.add_argument("--no-shm", action="store_true",
-                       help="disable the shared-memory trace plane "
-                            "(workers load traces from the disk cache)")
-
-    # Telemetry flags live on the leaf action parsers only: sharing the
-    # parent with ``p_cache`` would let the leaf's defaults overwrite
-    # flags given before the action word.
-    p_cache = sub.add_parser("cache",
-                             help="manage the on-disk trace cache")
-    cache_sub = p_cache.add_subparsers(dest="action", required=True)
-    cache_sub.add_parser("stats", parents=[telemetry],
-                         help="entry count, sizes, hit/miss counters")
-    p_warm = cache_sub.add_parser("warm", parents=[telemetry],
-                                  help="pre-generate benchmark traces")
-    p_warm.add_argument("--length", type=int, default=100_000)
-    p_warm.add_argument("--code-copies", type=int, default=1)
-    p_warm.add_argument("--bench", help="comma-separated benchmark subset")
-    cache_sub.add_parser("clear", parents=[telemetry],
-                         help="delete every cache entry")
-
-    p_camp = sub.add_parser("campaign",
-                            help="declarative, resumable experiment "
-                                 "campaigns (docs/CAMPAIGNS.md)")
-    camp_sub = p_camp.add_subparsers(dest="action", required=True)
-
-    def _camp_common(p):
-        p.add_argument("target",
-                       help="campaign spec (.toml/.json) or an existing "
-                            "campaign directory")
-        p.add_argument("--dir", help="campaign directory (default: "
-                                     "campaigns/<name>)")
-        p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                       help="override a parameter in every cell "
-                            "(repeatable; value parsed as JSON when "
-                            "possible)")
-
-    for action in ("run", "resume"):
-        p = camp_sub.add_parser(
-            action, parents=[telemetry],
-            help=("execute pending cells (skips completed ones)"
-                  if action == "run"
-                  else "continue an interrupted campaign"))
-        _camp_common(p)
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: all cores; "
-                            "1 = in-process)")
-        p.add_argument("--max-attempts", type=int, default=3,
-                       help="attempts per cell before quarantine "
-                            "(default 3)")
-        p.add_argument("--backoff", type=float, default=0.25,
-                       metavar="SECONDS",
-                       help="base retry backoff, doubled per round and "
-                            "capped (default 0.25)")
-        p.add_argument("--stop-after", type=int, default=None,
-                       metavar="N",
-                       help="stop cleanly after executing N new cells "
-                            "(for testing interrupt/resume)")
-        p.add_argument("--no-warm", action="store_true",
-                       help="skip the up-front trace cache warm")
-        p.add_argument("--no-shm", action="store_true",
-                       help="disable the shared-memory trace plane "
-                            "(workers load traces from the disk cache)")
-
-    p_status = camp_sub.add_parser("status", parents=[telemetry],
-                                   help="per-cell completion state from "
-                                        "the store")
-    _camp_common(p_status)
-    p_status.add_argument("--watch", action="store_true",
-                          help="live-refreshing progress view (bar, "
-                               "throughput, ETA) until the campaign "
-                               "completes; Ctrl-C exits")
-    p_status.add_argument("--interval", type=float, default=2.0,
-                          metavar="SECONDS",
-                          help="refresh period for --watch (default 2)")
-
-    p_report = camp_sub.add_parser("report", parents=[telemetry],
-                                   help="render result tables from the "
-                                        "store alone")
-    _camp_common(p_report)
-    p_report.add_argument("--check", action="store_true",
-                          help="run the paper-fidelity gate; exit 2 on "
-                               "drift")
-    p_report.add_argument("--telemetry", action="store_true",
-                          help="append the execution-telemetry section "
-                               "(slowest cells, retries/quarantine, "
-                               "cache hit rate)")
-    p_report.add_argument("--out", help="also save the report here")
-
-    p_bench = sub.add_parser("bench",
-                             help="benchmark perf history and its "
-                                  "regression gate (docs/OBSERVABILITY.md)")
-    bench_sub = p_bench.add_subparsers(dest="action", required=True)
-    from .bench import DEFAULT_HISTORY_PATH
-    from .bench.history import DEFAULT_BASELINE_N
-
-    p_hist = bench_sub.add_parser("history", parents=[telemetry],
-                                  help="list recorded bench sessions, "
-                                       "newest last")
-    p_check = bench_sub.add_parser("check", parents=[telemetry],
-                                   help="gate the latest session against "
-                                        "the median of the last N; exit 2 "
-                                        "on regression")
-    for p in (p_hist, p_check):
-        p.add_argument("--file", default=DEFAULT_HISTORY_PATH,
-                       metavar="JSONL",
-                       help=f"history file (default {DEFAULT_HISTORY_PATH})")
-    p_hist.add_argument("--last", type=int, default=0, metavar="N",
-                        help="show only the last N records (default: all)")
-    p_check.add_argument("--last", type=int, default=DEFAULT_BASELINE_N,
-                         metavar="N",
-                         help="baseline = median of the last N prior "
-                              f"records (default {DEFAULT_BASELINE_N})")
-    p_check.add_argument("--slow-tol", type=float, default=1.75,
-                         metavar="RATIO",
-                         help="wall times may grow to RATIO x baseline "
-                              "before failing (default 1.75)")
-    p_check.add_argument("--floor-tol", type=float, default=0.6,
-                         metavar="RATIO",
-                         help="speedups may shrink to RATIO x baseline "
-                              "before failing (default 0.6)")
-
-    from .serve.engine import (
-        DEFAULT_BATCH_EVENTS,
-        DEFAULT_HIGH_WATER,
-        DEFAULT_PORT,
-        DEFAULT_SHARDS,
-    )
-
-    p_serve = sub.add_parser("serve", parents=[telemetry],
-                             help="online prediction daemon "
-                                  "(docs/SERVING.md)")
-    p_serve.add_argument("--host", default="127.0.0.1",
-                         help="bind address (default 127.0.0.1)")
-    p_serve.add_argument("--port", type=int, default=DEFAULT_PORT,
-                         help=f"listen port; 0 = ephemeral "
-                              f"(default {DEFAULT_PORT})")
-    p_serve.add_argument("--stdio", action="store_true",
-                         help="speak frames on stdin/stdout instead of a "
-                              "socket (for subprocess embedding)")
-    p_serve.add_argument("--shards", type=int, default=DEFAULT_SHARDS,
-                         help="predictor shards = pinned pool workers "
-                              f"(default {DEFAULT_SHARDS})")
-    p_serve.add_argument("--max-streams", type=int, default=0,
-                         metavar="N",
-                         help="resident streams per shard before LRU "
-                              "eviction to snapshots (0 = default)")
-    p_serve.add_argument("--high-water", type=int,
-                         default=DEFAULT_HIGH_WATER, metavar="FRAMES",
-                         help="queued frames per shard before BUSY "
-                              f"(default {DEFAULT_HIGH_WATER})")
-    p_serve.add_argument("--batch-events", type=int,
-                         default=DEFAULT_BATCH_EVENTS, metavar="EVENTS",
-                         help="events coalesced per shard dispatch "
-                              f"(default {DEFAULT_BATCH_EVENTS})")
-    p_serve.add_argument("--backend", choices=("pool", "inproc"),
-                         default="pool",
-                         help="pool = sharded worker processes (default); "
-                              "inproc = single-process, for debugging")
-    p_serve.add_argument("--spool", help="snapshot spool directory for "
-                                         "evicted streams")
-
-    p_load = sub.add_parser("loadgen", parents=[telemetry],
-                            help="drive a running daemon; report QPS and "
-                                 "latency percentiles")
-    p_load.add_argument("--host", default="127.0.0.1")
-    p_load.add_argument("--port", type=int, default=DEFAULT_PORT)
-    p_load.add_argument("--streams", type=int, default=64,
-                        help="concurrent streams (default 64)")
-    p_load.add_argument("--events", type=int, default=2000,
-                        help="events per stream (default 2000)")
-    p_load.add_argument("--frame-events", type=int, default=256,
-                        help="events per frame (default 256)")
-    p_load.add_argument("--predictor", default="gdiff32",
-                        help="per-stream predictor spec (default gdiff32)")
-    p_load.add_argument("--gated", action="store_true",
-                        help="apply the 3-bit confidence gate")
-    p_load.add_argument("--mode", choices=("closed", "open"),
-                        default="closed",
-                        help="closed = one frame in flight per stream "
-                             "(default); open = fixed offered rate")
-    p_load.add_argument("--rate", type=float, default=None,
-                        metavar="EVENTS_PER_S",
-                        help="offered rate for --mode open")
-    p_load.add_argument("--bench", help="comma-separated workload subset "
-                                        "for stream content")
-    p_load.add_argument("--trace", metavar="NAME",
-                        help="replay one workload (e.g. an imported "
-                             "trace) on every stream; overrides --bench")
-    p_load.add_argument("--verify", action="store_true",
-                        help="after the run, check every stream's stats "
-                             "are bit-identical to the batch harness "
-                             "(closed mode)")
-    p_load.add_argument("--timeout", type=float, default=120.0,
-                        help="socket timeout in seconds (default 120)")
+    for name, command in COMMANDS.items():
+        if command.actions is None:
+            _add_leaf(sub, name, command, telemetry)
+            continue
+        group = sub.add_parser(name, help=command.help)
+        actions = group.add_subparsers(dest="action", required=True)
+        for action, leaf in command.actions.items():
+            _add_leaf(actions, action, leaf, telemetry)
     return parser
-
-
-#: Action words of the nested ``trace`` subcommand; anything else after
-#: ``trace`` keeps its historical generate meaning.
-_TRACE_ACTIONS = ("gen", "import", "list", "info", "remove")
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -1383,34 +1463,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     # Back-compat: ``repro trace <benchmark>`` predates the nested trace
     # actions and still has to work (scripts, docs, muscle memory).
     if (argv[:1] == ["trace"] and len(argv) > 1
-            and argv[1] not in _TRACE_ACTIONS
+            and argv[1] not in COMMANDS["trace"].actions
             and not argv[1].startswith("-")):
         argv.insert(1, "gen")
     args = build_parser().parse_args(argv)
-    if getattr(args, "verbose", 0):
-        configure_logging(args.verbose)
-    handlers = {
-        "list": cmd_list,
-        "run": cmd_run,
-        "trace": cmd_trace,
-        "workloads": cmd_workloads,
-        "predict": cmd_predict,
-        "simulate": cmd_simulate,
-        "run-all": cmd_run_all,
-        "cache": cmd_cache,
-        "campaign": cmd_campaign,
-        "bench": cmd_bench,
-        "serve": cmd_serve,
-        "loadgen": cmd_loadgen,
-    }
+    if args.verbose:
+        from .telemetry.log import configure
+
+        configure(args.verbose)
+    command = COMMANDS[args.command]
+    if command.actions is not None:
+        command = command.actions[args.action]
     try:
-        return handlers[args.command](args)
+        return command.handler(args)
     except BrokenPipeError:
         # Reader closed early (e.g. `repro run-all | head`): the Unix
         # convention is a silent exit, not a traceback.  Point stdout at
         # devnull so interpreter shutdown doesn't re-raise on flush.
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 128 + 13  # 128 + SIGPIPE
 

@@ -7,18 +7,13 @@
 * Queue and table building blocks for users composing their own variants.
 """
 
-from .gdiff import GDiffPredictor
-from .gvq import GlobalValueQueue, SlottedValueQueue
-from .hybrid import HybridGDiffPredictor
-from .table import DISTANCE_POLICIES, FlatGDiffTable, GDiffEntry, GDiffTable
+from .._lazy import lazy_exports
 
-__all__ = [
-    "GDiffPredictor",
-    "HybridGDiffPredictor",
-    "GlobalValueQueue",
-    "SlottedValueQueue",
-    "GDiffTable",
-    "FlatGDiffTable",
-    "GDiffEntry",
-    "DISTANCE_POLICIES",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".gdiff": ("GDiffPredictor",),
+    ".gvq": ("GlobalValueQueue", "SlottedValueQueue"),
+    ".hybrid": ("HybridGDiffPredictor",),
+    ".table": (
+        "DISTANCE_POLICIES", "FlatGDiffTable", "GDiffEntry", "GDiffTable",
+    ),
+})

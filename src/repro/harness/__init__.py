@@ -2,33 +2,16 @@
 ASCII reporting that prints the same rows/series the paper's tables and
 figures report."""
 
-from .experiments import EXPERIMENTS, run_experiment
-from .parallel import default_workers, parallel_map, run_experiments
-from .report import ExperimentResult
-from .runner import (
-    run_address_prediction,
-    run_value_prediction,
-    warm_then_measure,
-)
-from .workbank import (
-    BANK_GROUPS,
-    DEFAULT_BANK_PREDICTORS,
-    render_bank,
-    run_bank,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "run_value_prediction",
-    "run_bank",
-    "render_bank",
-    "BANK_GROUPS",
-    "DEFAULT_BANK_PREDICTORS",
-    "run_address_prediction",
-    "warm_then_measure",
-    "EXPERIMENTS",
-    "run_experiment",
-    "run_experiments",
-    "parallel_map",
-    "default_workers",
-    "ExperimentResult",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".experiments": ("EXPERIMENTS", "run_experiment"),
+    ".parallel": ("default_workers", "parallel_map", "run_experiments"),
+    ".report": ("ExperimentResult",),
+    ".runner": (
+        "run_address_prediction", "run_value_prediction", "warm_then_measure",
+    ),
+    ".workbank": (
+        "BANK_GROUPS", "DEFAULT_BANK_PREDICTORS", "render_bank", "run_bank",
+    ),
+})

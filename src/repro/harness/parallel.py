@@ -38,10 +38,10 @@ import os
 import pickle
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import BrokenExecutor
 from multiprocessing.connection import wait as _connection_wait
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -54,8 +54,9 @@ from typing import (
 
 from ..telemetry import MetricsRegistry, get_logger
 from ..trace import shm
-from .experiments import run_experiment
-from .report import ExperimentResult
+
+if TYPE_CHECKING:
+    from .report import ExperimentResult
 
 log = get_logger("repro.harness.parallel")
 
@@ -64,8 +65,19 @@ log = get_logger("repro.harness.parallel")
 #: AttributeError/TypeError are what pickle raises for local or otherwise
 #: unpicklable callables; a genuine experiment bug of the same type still
 #: surfaces, because the fallback re-runs the real body in-process.
-POOL_FAILURES = (BrokenProcessPool, OSError, PermissionError,
+#: ``BrokenExecutor`` is the base of the legacy executor's
+#: ``BrokenProcessPool``, whose module this one does not import up front.
+POOL_FAILURES = (BrokenExecutor, OSError, PermissionError,
                  pickle.PicklingError, AttributeError, TypeError)
+
+
+def _broken(reason: str) -> BaseException:
+    """The ``BrokenProcessPool`` a pool failure raises, as the legacy
+    executor would (its module is imported only when a pool breaks)."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    return BrokenProcessPool(reason)
+
 
 #: Environment keys with this prefix are mirrored into persistent workers
 #: before every dispatch: a forked worker outlives the environment it was
@@ -134,6 +146,8 @@ def _run_one(name: str, kwargs: Dict,
     driver-side span that submitted it, and they ride home inside the
     registry snapshot.
     """
+    from .experiments import run_experiment
+
     registry = MetricsRegistry()
     if span_ctx is not None:
         registry.enable_spans(context=span_ctx)
@@ -423,7 +437,7 @@ class WorkerPool:
         never receives stale replies.
         """
         if self._closed:
-            raise BrokenProcessPool("worker pool is shut down")
+            raise _broken("worker pool is shut down")
         items = list(items)
         if not items:
             return []
@@ -526,8 +540,7 @@ class WorkerPool:
             # A fresh worker refusing its envelope means the pool cannot
             # run here at all (e.g. a sandbox killed the fork) — surface
             # as a pool failure so callers fall back serially.
-            raise BrokenProcessPool(
-                f"worker setup failed: {exc}") from exc
+            raise _broken(f"worker setup failed: {exc}") from exc
 
         while True:
             if error is None and pending:
@@ -581,7 +594,7 @@ class WorkerPool:
         """
         with self._lock:
             if self._closed:
-                raise BrokenProcessPool("worker pool is shut down")
+                raise _broken("worker pool is shut down")
             while len(self._workers) < count:
                 self._spawn(registry)
             for worker in self._workers[:count]:
@@ -598,7 +611,7 @@ class WorkerPool:
     def _shard_worker(self, index: int) -> _Worker:
         worker = self._workers[index]
         if not worker.pinned:
-            raise BrokenProcessPool(
+            raise _broken(
                 f"shard {index} is not pinned (call shard_workers first)")
         return worker
 
@@ -664,7 +677,7 @@ class WorkerPool:
         self._stop_worker(worker)
         with self._lock:
             if self._closed:
-                raise BrokenProcessPool("worker pool is shut down")
+                raise _broken("worker pool is shut down")
             replacement = _Worker(self._ctx)
             replacement.pinned = True
             self._workers[index] = replacement
@@ -762,6 +775,10 @@ def run_experiments(
     span_ctx = span_context(registry)
 
     if max_workers > 1 and total > 1:
+        # Import the experiment bodies before the pool forks: workers
+        # inherit them instead of each importing them again.
+        from . import experiments  # noqa: F401
+
         fanned = _run_experiments_pooled(
             names, kw, span_ctx, max_workers, registry=registry,
             on_progress=on_progress, pool_worker=pool_worker)
@@ -822,7 +839,7 @@ def _run_experiments_pooled(
         failure: Optional[BaseException] = None
         for status, value in raw:
             if status == "crash":
-                failure = BrokenProcessPool(value)
+                failure = _broken(value)
                 break
             if status == "raise":
                 if isinstance(value, POOL_FAILURES):
@@ -843,6 +860,8 @@ def _run_experiments_pooled(
             for _status, (_result, snapshot) in raw:
                 registry.merge_dict(snapshot)
         return results
+
+    from concurrent.futures import ProcessPoolExecutor
 
     results = {}
     snapshots: List[Dict] = []
@@ -927,7 +946,7 @@ def parallel_map(
                         if failure is None:
                             failure = (value if isinstance(value,
                                                            BaseException)
-                                       else BrokenProcessPool(value))
+                                       else _broken(value))
                 if failed:
                     log.warning(
                         "parallel_map lost %d/%d item(s) (%s); re-running "
@@ -943,6 +962,8 @@ def parallel_map(
                             on_progress(done, total)
                 return results
         else:
+            from concurrent.futures import ProcessPoolExecutor
+
             futures: List = []
             try:
                 with ProcessPoolExecutor(
@@ -1083,6 +1104,8 @@ def run_tasks(
                 return [outcome or (TASK_CRASH, "task never completed")
                         for outcome in outcomes]
         else:
+            from concurrent.futures import ProcessPoolExecutor, as_completed
+
             try:
                 pool = ProcessPoolExecutor(max_workers=min(max_workers,
                                                            len(items)))

@@ -7,26 +7,15 @@
 * Adapters in :mod:`repro.pipeline.vp` connect any predictor to the core.
 """
 
-from .branch import GShare
-from .cache import Cache
-from .config import CacheConfig, ProcessorConfig
-from .ooo import OutOfOrderCore, SimResult
-from .vp import (
-    HGVQAdapter,
-    LocalPredictorAdapter,
-    PipelinePredictor,
-    SGVQAdapter,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ProcessorConfig",
-    "CacheConfig",
-    "Cache",
-    "GShare",
-    "OutOfOrderCore",
-    "SimResult",
-    "PipelinePredictor",
-    "LocalPredictorAdapter",
-    "SGVQAdapter",
-    "HGVQAdapter",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".branch": ("GShare",),
+    ".cache": ("Cache",),
+    ".config": ("CacheConfig", "ProcessorConfig"),
+    ".ooo": ("OutOfOrderCore", "SimResult"),
+    ".vp": (
+        "HGVQAdapter", "LocalPredictorAdapter", "PipelinePredictor",
+        "SGVQAdapter",
+    ),
+})

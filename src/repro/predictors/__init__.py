@@ -6,35 +6,19 @@ and the first-order Markov address predictor — plus the 3-bit confidence
 mechanism that gates all realistic configurations.
 """
 
-from .base import ConstantPredictor, PredictionStats, ValuePredictor
-from .confidence import ConfidenceTable, GatedPredictor
-from .ddisc import DDISCPredictor, run_ddisc
-from .dfcm import DFCMPredictor
-from .fcm import FCMPredictor, fold_context
-from .gfcm import GlobalFCMPredictor
-from .hybrid_local import HybridLocalPredictor
-from .last_n import LastNValuePredictor
-from .last_value import LastValuePredictor
-from .markov import MarkovPredictor
-from .pi import PIPredictor
-from .stride import StridePredictor
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ValuePredictor",
-    "PredictionStats",
-    "ConstantPredictor",
-    "ConfidenceTable",
-    "GatedPredictor",
-    "LastValuePredictor",
-    "LastNValuePredictor",
-    "StridePredictor",
-    "FCMPredictor",
-    "DFCMPredictor",
-    "MarkovPredictor",
-    "DDISCPredictor",
-    "run_ddisc",
-    "PIPredictor",
-    "GlobalFCMPredictor",
-    "HybridLocalPredictor",
-    "fold_context",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".base": ("ConstantPredictor", "PredictionStats", "ValuePredictor"),
+    ".confidence": ("ConfidenceTable", "GatedPredictor"),
+    ".ddisc": ("DDISCPredictor", "run_ddisc"),
+    ".dfcm": ("DFCMPredictor",),
+    ".fcm": ("FCMPredictor", "fold_context"),
+    ".gfcm": ("GlobalFCMPredictor",),
+    ".hybrid_local": ("HybridLocalPredictor",),
+    ".last_n": ("LastNValuePredictor",),
+    ".last_value": ("LastValuePredictor",),
+    ".markov": ("MarkovPredictor",),
+    ".pi": ("PIPredictor",),
+    ".stride": ("StridePredictor",),
+})

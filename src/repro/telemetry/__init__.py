@@ -13,42 +13,20 @@ Design rules, enforced across the package:
   ``docs/TELEMETRY.md``; tests assert the table and the code agree.
 """
 
-from .events import EventRecorder
-from .log import configure as configure_logging
-from .log import get_logger, verbosity_to_level
-from .manifest import RunManifest, git_revision
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    PhaseTiming,
-    Series,
-)
-from .progress import ProgressPrinter
-from .spans import (
-    Span,
-    SpanTracker,
-    chrome_trace_events,
-    write_chrome_trace,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Series",
-    "PhaseTiming",
-    "MetricsRegistry",
-    "EventRecorder",
-    "Span",
-    "SpanTracker",
-    "chrome_trace_events",
-    "write_chrome_trace",
-    "RunManifest",
-    "git_revision",
-    "ProgressPrinter",
-    "get_logger",
-    "configure_logging",
-    "verbosity_to_level",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".events": ("EventRecorder",),
+    ".log": (
+        "configure_logging=configure", "get_logger", "verbosity_to_level",
+    ),
+    ".manifest": ("RunManifest", "git_revision"),
+    ".metrics": (
+        "Counter", "Gauge", "Histogram", "MetricsRegistry", "PhaseTiming",
+        "Series",
+    ),
+    ".progress": ("ProgressPrinter",),
+    ".spans": (
+        "Span", "SpanTracker", "chrome_trace_events", "write_chrome_trace",
+    ),
+})

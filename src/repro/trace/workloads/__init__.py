@@ -16,21 +16,12 @@ Use :func:`get` / :data:`BENCHMARKS` to enumerate the suite:
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import TYPE_CHECKING, Dict, List
 
-from ..synthetic import WorkloadSpec
-from . import (
-    bzip2,
-    gap,
-    gcc,
-    gzip,
-    mcf,
-    parser,
-    perl,
-    twolf,
-    vortex,
-    vpr,
-)
+from ..._lazy import import_module
+
+if TYPE_CHECKING:
+    from ..synthetic import WorkloadSpec
 
 #: The paper's benchmark order (as in every figure's x axis).
 BENCHMARKS: List[str] = [
@@ -46,19 +37,6 @@ BENCHMARKS: List[str] = [
     "vpr",
 ]
 
-_MODULES = {
-    "bzip2": bzip2,
-    "gap": gap,
-    "gcc": gcc,
-    "gzip": gzip,
-    "mcf": mcf,
-    "parser": parser,
-    "perl": perl,
-    "twolf": twolf,
-    "vortex": vortex,
-    "vpr": vpr,
-}
-
 
 def get(name: str) -> WorkloadSpec:
     """Return a fresh :class:`WorkloadSpec` for workload *name*.
@@ -69,9 +47,10 @@ def get(name: str) -> WorkloadSpec:
     plane, campaigns, serve) accepts imported and adversarial names
     wherever a benchmark name is accepted.
     """
-    module = _MODULES.get(name)
-    if module is not None:
-        return module.spec()
+    if name in BENCHMARKS:
+        # Each generator module is imported on first use, so resolving
+        # or validating a name costs no generator code.
+        return import_module(f"{__name__}.{name}").spec()
     from . import adversarial
 
     if name in adversarial.SCENARIOS:
@@ -96,7 +75,7 @@ def known_names() -> List[str]:
 
 def is_known(name: str) -> bool:
     """True when :func:`get` would resolve *name*."""
-    if name in _MODULES:
+    if name in BENCHMARKS:
         return True
     from . import adversarial
 

@@ -262,3 +262,44 @@ class TestRunAllCommand:
         # The profiled run must be the run: the experiment work itself
         # shows up in the table, not just harness scaffolding.
         assert "run_value_prediction" in captured.err
+
+
+class TestNoShm:
+    def test_no_shm_is_scoped_to_its_command(self, capsys, tmp_path,
+                                             monkeypatch):
+        """``--no-shm`` turns the shared-memory plane off for its own
+        command only: a later in-process campaign publishes again."""
+        import os
+
+        from repro.trace import shm
+
+        monkeypatch.delenv("REPRO_SHM", raising=False)
+        published = []
+        real_publish = shm.publish
+
+        def spy(trace, key, *args, **kwargs):
+            published.append(key)
+            return real_publish(trace, key, *args, **kwargs)
+
+        monkeypatch.setattr(shm, "publish", spy)
+        spec = tmp_path / "grid.json"
+        spec.write_text(json.dumps({
+            "campaign": {"name": "noshm"},
+            "defaults": {"kind": "predict", "length": 2000},
+            "matrix": {"bench": ["gcc"], "predictor": ["stride"]},
+        }))
+
+        def campaign(store, *flags):
+            return main(["campaign", "run", str(spec), "--dir",
+                         str(tmp_path / store), "--jobs", "1",
+                         "--no-progress", *flags])
+
+        assert campaign("off", "--no-shm") == 0
+        assert published == []
+        assert "REPRO_SHM" not in os.environ
+        assert main(["run-all", "--experiments", "fig8", "--length", "2000",
+                     "--bench", "gzip", "--jobs", "1", "--no-shm",
+                     "--no-progress"]) == 0
+        assert "REPRO_SHM" not in os.environ
+        assert campaign("on") == 0
+        assert len(published) == 1  # the one gcc trace, back on the plane
