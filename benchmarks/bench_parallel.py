@@ -15,9 +15,9 @@ the *same* packed trace over and over.  Two floors:
   it is roughly the CRC scan of the columns.)
 * **4-worker campaign round ≥ 1.5x vs the per-round-pool baseline.**
   The same cell batch dispatched through the persistent pool (workers
-  reused, traces attached once) against the legacy configuration
-  (``REPRO_POOL=fresh`` + ``REPRO_SHM=0``: a fresh executor per round,
-  a disk load per worker per round).  Both planes must produce identical
+  reused, traces attached once) against a pool restarted before every
+  round under ``REPRO_SHM=0`` (new workers each round, a disk load per
+  worker per round).  Both configurations must produce identical
   results before speed counts.
 
 Measured values land in ``BENCH_metrics.json`` under
@@ -127,14 +127,19 @@ def _cell(args):
     return (len(trace), sum(pcs[0:len(pcs):step]) & 0xFFFFFFFF)
 
 
-def _run_rounds(registry):
+def _run_rounds(registry, restart=False):
     """R scheduler-style rounds of the same cell batch, timed per round
-    (warm-up round excluded so steady state is what's measured)."""
+    (warm-up round excluded so steady state is what's measured).  With
+    *restart* the pool and the driver's trace memo are dropped before
+    every round, so each round spawns its workers anew."""
     items = [(BENCH, LENGTH)] * CELLS_PER_ROUND
     outcomes = run_tasks(_cell, items, max_workers=WORKERS,
                          registry=registry)
     per_round = []
     for _ in range(ROUNDS):
+        if restart:
+            shutdown_pool()
+            memo_clear()  # new workers must not inherit a warm memo
         start = time.perf_counter()
         round_outcomes = run_tasks(_cell, items, max_workers=WORKERS,
                                    registry=registry)
@@ -148,19 +153,18 @@ def bench_warm_pool_campaign_round(benchmark, record_metrics):
     spec = get(BENCH)
     trace = default_cache().load_or_generate(spec, LENGTH)
 
-    baseline_env = {"REPRO_POOL": "fresh", "REPRO_SHM": "0"}
-    saved = {k: os.environ.get(k) for k in baseline_env}
+    saved = os.environ.get("REPRO_SHM")
     try:
-        os.environ.update(baseline_env)
+        os.environ["REPRO_SHM"] = "0"
         shutdown_pool()
-        memo_clear()  # forked workers must not inherit a warm driver memo
-        fresh_outcomes, fresh_s = _run_rounds(MetricsRegistry())
+        memo_clear()
+        fresh_outcomes, fresh_s = _run_rounds(MetricsRegistry(),
+                                              restart=True)
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop("REPRO_SHM", None)
+        else:
+            os.environ["REPRO_SHM"] = saved
 
     shutdown_pool()
     memo_clear()

@@ -18,9 +18,6 @@ quarantined (a record with the traceback) — while guaranteeing:
   only itself down: the persistent pool replaces the dead worker in
   place and the scheduler re-tries only the casualties, so a poisoned
   cell eventually lands in quarantine while its siblings complete.
-  (Under the legacy ``REPRO_POOL=fresh`` executor the whole pool breaks
-  and is recreated on the next round — same store outcomes, more
-  collateral retries.)
 * **Determinism**: a worker computes exactly what a direct
   :func:`~repro.harness.experiments.run_experiment` /
   :func:`~repro.harness.runner.run_value_prediction` call computes — same

@@ -73,13 +73,20 @@ def _traceback_frame(traceback_text: str) -> str:
 
 
 def _atomic_write_json(path: Path, payload: Any) -> None:
-    """Write *payload* as JSON such that readers never see a torn file."""
+    """Write *payload* as one line of JSON such that readers never see a
+    torn file.
+
+    ``json.dumps`` without ``indent`` runs the C encoder; ``json.dump``
+    and any ``indent`` fall back to the pure-Python one, 3-4x slower
+    on a cell record.  Readers parse either form, so stores written
+    indented by older versions still load.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem,
                                suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=False, default=str)
+            fh.write(json.dumps(payload, default=str))
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:

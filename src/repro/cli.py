@@ -2,9 +2,9 @@
 
 The CLI is one table, :data:`COMMANDS`: subcommand name → help text,
 argument builder and handler.  Each handler imports what it runs when it
-runs, so ``import repro.cli`` loads no experiment, pipeline, pool or
-serve code, and ``repro campaign report`` never imports the simulators
-that produced the results it renders (docs/PERFORMANCE.md, "Process
+runs, so ``import repro.cli`` loads no experiment, pipeline or pool
+code, and ``repro campaign report`` never imports the simulators that
+produced the results it renders (docs/PERFORMANCE.md, "Process
 startup").
 
 Subcommands:
@@ -47,16 +47,6 @@ Subcommands:
 * ``repro bench history|check`` — the benchmark suite's perf trajectory
   (``benchmarks/results/history.jsonl``) and its regression gate
   (docs/OBSERVABILITY.md).
-* ``repro serve [--port P] [--shards N] [--stdio] [--backend b]`` — the
-  long-lived online prediction daemon: sharded per-stream predictor
-  state on warm pool workers, batched dispatch, LRU eviction with
-  transparent restore (docs/SERVING.md).
-* ``repro loadgen [--streams N] [--events N] [--mode closed|open]
-  [--trace NAME] [--verify]`` — drive a running daemon with N
-  concurrent streams and report QPS and latency percentiles;
-  ``--trace`` replays a specific workload (imported traces included),
-  ``--verify`` replays every stream through the batch harness and
-  checks bit-identical PredictionStats.
 
 Every subcommand accepts the shared telemetry flags (docs/TELEMETRY.md):
 ``--metrics-out FILE`` writes a JSON run manifest (``-`` streams it to
@@ -981,86 +971,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0 if ok else 2
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
-    """``repro serve`` — the long-lived online prediction daemon."""
-    from .serve.engine import ServeConfig, run_serve
-
-    tele = _Telemetry(args, "serve")
-    # Flags left unset keep ServeConfig's defaults (the values --help
-    # quotes).
-    given = {"port": args.port, "shards": args.shards,
-             "high_water": args.high_water,
-             "batch_events": args.batch_events, "spool": args.spool or None}
-    config = ServeConfig(host=args.host, stdio=args.stdio,
-                         max_streams=args.max_streams, backend=args.backend,
-                         **{k: v for k, v in given.items() if v is not None})
-    if args.stdio:
-        config.port = None
-    engine = run_serve(config, registry=tele.registry, announce=tele.human)
-    tele.add("serve", engine.daemon_stats())
-    tele.finish()
-    return 0
-
-
-def cmd_loadgen(args: argparse.Namespace) -> int:
-    """``repro loadgen`` — drive a running daemon, report QPS/latency."""
-    from .serve.engine import DEFAULT_PORT
-    from .serve.loadgen import DEFAULT_WORKLOADS, run_loadgen
-
-    tele = _Telemetry(args, "loadgen")
-    out = tele.human
-    port = DEFAULT_PORT if args.port is None else args.port
-    workloads = (tuple(b.strip() for b in args.bench.split(",") if b.strip())
-                 if args.bench else DEFAULT_WORKLOADS)
-    if args.trace:
-        _require_workload(args.trace, "loadgen")
-        workloads = (args.trace,)
-    try:
-        report = run_loadgen(
-            args.host, port,
-            streams=args.streams,
-            events_per_stream=args.events,
-            frame_events=args.frame_events,
-            predictor=args.predictor,
-            gated=args.gated,
-            mode=args.mode,
-            rate=args.rate,
-            workloads=workloads,
-            verify=args.verify,
-            timeout=args.timeout,
-        )
-    except (ConnectionError, OSError) as exc:
-        raise SystemExit(f"loadgen: cannot reach {args.host}:{port} "
-                         f"({exc})")
-    print(f"loadgen [{report['mode']}]: {report['streams']} streams x "
-          f"{args.events} events ({report['predictor']}"
-          f"{', gated' if report['gated'] else ''})", file=out)
-    print(f"  applied {report['events_applied']}/"
-          f"{report['events_offered']} events in "
-          f"{report['wall_s']:.2f}s -> {report['events_eps']:,.0f} "
-          "events/s", file=out)
-    print(f"  frames {report['frames']}, busy {report['busy']}, "
-          f"errors {report['errors']}", file=out)
-    print(f"  latency p50 {report['p50_ms']:.2f} ms / "
-          f"p90 {report['p90_ms']:.2f} ms / "
-          f"p99 {report['p99_ms']:.2f} ms", file=out)
-    exit_code = 0
-    verify = report.get("verify")
-    if verify is not None:
-        print(f"  verify: {verify['matched']}/{verify['checked']} streams "
-              "bit-identical to the batch harness", file=out)
-        for miss in verify["mismatches"]:
-            print(f"    mismatch {miss['stream']}: serve={miss['serve']} "
-                  f"batch={miss['batch']}", file=out)
-        if verify["matched"] != verify["checked"]:
-            exit_code = 2
-    if report["errors"]:
-        exit_code = exit_code or 2
-    tele.add("loadgen", report)
-    tele.finish()
-    return exit_code
-
-
 # ---------------------------------------------------------------------------
 # Arguments: one builder per (leaf) subcommand.
 # ---------------------------------------------------------------------------
@@ -1295,66 +1205,6 @@ def _bench_check_args(p: argparse.ArgumentParser) -> None:
                         "failing (default 0.6)")
 
 
-def _serve_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--host", default="127.0.0.1",
-                   help="bind address (default 127.0.0.1)")
-    p.add_argument("--port", type=int, default=None,
-                   help="listen port; 0 = ephemeral (default 9477)")
-    p.add_argument("--stdio", action="store_true",
-                   help="speak frames on stdin/stdout instead of a socket "
-                        "(for subprocess embedding)")
-    p.add_argument("--shards", type=int, default=None,
-                   help="predictor shards = pinned pool workers "
-                        "(default 4)")
-    p.add_argument("--max-streams", type=int, default=0, metavar="N",
-                   help="resident streams per shard before LRU eviction "
-                        "to snapshots (0 = default)")
-    p.add_argument("--high-water", type=int, default=None, metavar="FRAMES",
-                   help="queued frames per shard before BUSY "
-                        "(default 256)")
-    p.add_argument("--batch-events", type=int, default=None,
-                   metavar="EVENTS",
-                   help="events coalesced per shard dispatch "
-                        "(default 32768)")
-    p.add_argument("--backend", choices=("pool", "inproc"), default="pool",
-                   help="pool = sharded worker processes (default); "
-                        "inproc = single-process, for debugging")
-    p.add_argument("--spool", help="snapshot spool directory for evicted "
-                                   "streams")
-
-
-def _loadgen_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=None,
-                   help="daemon port (default 9477)")
-    p.add_argument("--streams", type=int, default=64,
-                   help="concurrent streams (default 64)")
-    p.add_argument("--events", type=int, default=2000,
-                   help="events per stream (default 2000)")
-    p.add_argument("--frame-events", type=int, default=256,
-                   help="events per frame (default 256)")
-    p.add_argument("--predictor", default="gdiff32",
-                   help="per-stream predictor spec (default gdiff32)")
-    p.add_argument("--gated", action="store_true",
-                   help="apply the 3-bit confidence gate")
-    p.add_argument("--mode", choices=("closed", "open"), default="closed",
-                   help="closed = one frame in flight per stream "
-                        "(default); open = fixed offered rate")
-    p.add_argument("--rate", type=float, default=None,
-                   metavar="EVENTS_PER_S",
-                   help="offered rate for --mode open")
-    p.add_argument("--bench", help="comma-separated workload subset for "
-                                   "stream content")
-    p.add_argument("--trace", metavar="NAME",
-                   help="replay one workload (e.g. an imported trace) on "
-                        "every stream; overrides --bench")
-    p.add_argument("--verify", action="store_true",
-                   help="after the run, check every stream's stats are "
-                        "bit-identical to the batch harness (closed mode)")
-    p.add_argument("--timeout", type=float, default=120.0,
-                   help="socket timeout in seconds (default 120)")
-
-
 # ---------------------------------------------------------------------------
 # The command table and the dispatcher.
 # ---------------------------------------------------------------------------
@@ -1425,10 +1275,6 @@ COMMANDS: Dict[str, Command] = {
                              "of the last N; exit 2 on regression",
                              cmd_bench, _bench_check_args),
         }),
-    "serve": Command("online prediction daemon (docs/SERVING.md)",
-                     cmd_serve, _serve_args),
-    "loadgen": Command("drive a running daemon; report QPS and latency "
-                       "percentiles", cmd_loadgen, _loadgen_args),
 }
 
 

@@ -7,18 +7,15 @@ worker's :class:`~repro.telemetry.MetricsRegistry` snapshot back as a
 plain dict, and merges the snapshots into the caller's registry for one
 consolidated manifest.
 
-Two worker planes exist, selected by ``REPRO_POOL``:
-
-* ``persistent`` (the default): a module-singleton :class:`WorkerPool` of
-  long-lived forked workers, reused across ``run_tasks``/``parallel_map``
-  calls and across scheduler rounds.  Warm per-worker state — the
-  in-process :class:`PackedTrace` memo, the pipeline timing memos, the
-  validated shared-memory attachments — survives between calls, so a
-  campaign pays interpreter spawn and trace materialisation once per
-  worker, not once per round.  A dead worker is replaced without
-  restarting the pool.
-* ``fresh``: the legacy one-:class:`ProcessPoolExecutor`-per-call path,
-  kept as the benchmark baseline and as a safety valve.
+The worker plane is a module-singleton :class:`WorkerPool` of
+long-lived forked workers, reused across ``run_tasks``/``parallel_map``
+calls and across scheduler rounds.  Warm per-worker state — the
+in-process :class:`PackedTrace` memo, the pipeline timing memos, the
+validated shared-memory attachments — survives between calls, so a
+campaign pays interpreter spawn and trace materialisation once per
+worker, not once per round.  A dead worker is replaced without
+restarting the pool.  The only other path is in-process serial
+execution.
 
 Determinism is a hard requirement: a worker computes *exactly* what the
 serial path computes (same experiment function, same arguments, fresh
@@ -37,7 +34,6 @@ import multiprocessing
 import os
 import pickle
 import threading
-import time
 from concurrent.futures import BrokenExecutor
 from multiprocessing.connection import wait as _connection_wait
 from typing import (
@@ -65,15 +61,15 @@ log = get_logger("repro.harness.parallel")
 #: AttributeError/TypeError are what pickle raises for local or otherwise
 #: unpicklable callables; a genuine experiment bug of the same type still
 #: surfaces, because the fallback re-runs the real body in-process.
-#: ``BrokenExecutor`` is the base of the legacy executor's
-#: ``BrokenProcessPool``, whose module this one does not import up front.
+#: ``BrokenExecutor`` is the base of the ``BrokenProcessPool`` that
+#: :func:`_broken` raises, whose module is not imported up front.
 POOL_FAILURES = (BrokenExecutor, OSError, PermissionError,
                  pickle.PicklingError, AttributeError, TypeError)
 
 
 def _broken(reason: str) -> BaseException:
-    """The ``BrokenProcessPool`` a pool failure raises, as the legacy
-    executor would (its module is imported only when a pool breaks)."""
+    """The ``BrokenProcessPool`` a pool failure raises (its module is
+    imported only when a pool breaks)."""
     from concurrent.futures.process import BrokenProcessPool
 
     return BrokenProcessPool(reason)
@@ -84,29 +80,6 @@ def _broken(reason: str) -> BaseException:
 #: born under (tests monkeypatch ``REPRO_CACHE_DIR``; the CLI flips
 #: ``REPRO_SHM``), so each call re-synchronises.
 _ENV_PREFIX = "REPRO_"
-
-
-def pool_mode() -> str:
-    """``persistent`` (default) or ``fresh`` (legacy pool-per-call)."""
-    mode = os.environ.get("REPRO_POOL", "persistent").strip().lower()
-    return mode if mode in ("persistent", "fresh") else "persistent"
-
-
-def pool_idle_timeout() -> Optional[float]:
-    """Idle-worker reap threshold in seconds (``REPRO_POOL_IDLE_S``).
-
-    ``None`` (unset, unparsable, or non-positive) disables reaping — the
-    historical behaviour, where a pool that served a burst pins its
-    workers until process exit.
-    """
-    raw = os.environ.get("REPRO_POOL_IDLE_S", "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    return value if value > 0 else None
 
 
 def _count(registry: Optional[MetricsRegistry], name: str,
@@ -252,8 +225,7 @@ def _pool_worker_main(conn) -> None:  # pragma: no cover - subprocess body
 class _Worker:
     """One persistent worker process plus its driver-side pipe end."""
 
-    __slots__ = ("proc", "conn", "inflight", "shm_version", "last_used",
-                 "pinned", "setup_sig")
+    __slots__ = ("proc", "conn", "inflight", "shm_version")
 
     def __init__(self, ctx) -> None:
         driver_end, worker_end = ctx.Pipe(duplex=True)
@@ -264,14 +236,6 @@ class _Worker:
         self.conn = driver_end
         self.inflight: List[int] = []
         self.shm_version = -1
-        self.last_used = time.monotonic()
-        #: Pinned workers host shard-affine state (the serve plane) and
-        #: are exempt from idle reaping — their residency is bounded by
-        #: the shard's own LRU stream manager, not by pool pressure.
-        self.pinned = False
-        #: Signature of the last ("setup", ...) envelope shipped, so the
-        #: sharded dispatch path can skip redundant env re-syncs.
-        self.setup_sig: Optional[Tuple] = None
 
 
 class WorkerPool:
@@ -280,8 +244,7 @@ class WorkerPool:
     Crash semantics: a worker dying mid-batch resolves only *its* in-flight
     tasks as crashes — siblings keep running, queued tasks still dispatch,
     and the dead worker is replaced (while work remains) without
-    restarting the pool.  Compare the legacy per-call executor, where one
-    hard-exiting task breaks every sibling future in the round.
+    restarting the pool.
     """
 
     def __init__(self, size: Optional[int] = None) -> None:
@@ -289,10 +252,9 @@ class WorkerPool:
         self._ctx = multiprocessing.get_context()
         self._workers: List[_Worker] = []
         self._closed = False
-        # Guards worker-list mutation against the reap timer and against
-        # concurrent shutdown_pool callers (atexit + signal handler).
+        # Guards close() against concurrent shutdown_pool callers
+        # (atexit + signal handler).
         self._lock = threading.RLock()
-        self._reap_timer: Optional[threading.Timer] = None
 
     # -- lifecycle --------------------------------------------------------
     @property
@@ -314,23 +276,6 @@ class WorkerPool:
         payload = handles if worker.shm_version != version else None
         worker.conn.send(("setup", env, payload))
         worker.shm_version = version
-        worker.setup_sig = (version, tuple(sorted(env.items())))
-
-    @staticmethod
-    def _stop_worker(worker: _Worker) -> None:
-        """Stop one worker (graceful, then terminate a straggler)."""
-        try:
-            worker.conn.send(("stop",))
-        except Exception:
-            pass
-        worker.proc.join(timeout=2)
-        if worker.proc.is_alive():  # pragma: no cover - stuck worker
-            worker.proc.terminate()
-            worker.proc.join(timeout=2)
-        try:
-            worker.conn.close()
-        except Exception:
-            pass
 
     def close(self) -> None:
         """Stop every worker; safe to call repeatedly or concurrently."""
@@ -338,9 +283,6 @@ class WorkerPool:
             if self._closed and not self._workers:
                 return
             self._closed = True
-            if self._reap_timer is not None:
-                self._reap_timer.cancel()
-                self._reap_timer = None
             workers, self._workers = list(self._workers), []
         for worker in workers:
             try:
@@ -356,59 +298,6 @@ class WorkerPool:
                 worker.conn.close()
             except Exception:
                 pass
-
-    # -- idle reaping -----------------------------------------------------
-    def reap_idle(self, registry: Optional[MetricsRegistry] = None,
-                  timeout: Optional[float] = None) -> int:
-        """Stop workers idle past the ``REPRO_POOL_IDLE_S`` threshold.
-
-        Workers with in-flight tasks and pinned (shard-hosting) workers
-        are never reaped.  Returns the number of workers stopped
-        (``pool.reaped`` on *registry*).
-        """
-        if timeout is None:
-            timeout = pool_idle_timeout()
-        if timeout is None:
-            return 0
-        now = time.monotonic()
-        victims: List[_Worker] = []
-        with self._lock:
-            if self._closed:
-                return 0
-            for worker in list(self._workers):
-                if worker.inflight or worker.pinned:
-                    continue
-                if now - worker.last_used < timeout:
-                    continue
-                self._workers.remove(worker)
-                victims.append(worker)
-        for worker in victims:
-            self._stop_worker(worker)
-        _count(registry, "pool.reaped", len(victims))
-        return len(victims)
-
-    def _schedule_reap(self) -> None:
-        """Arm a daemonic timer to shrink the pool after the idle window
-        (no-op when reaping is disabled or a timer is already armed)."""
-        timeout = pool_idle_timeout()
-        if timeout is None:
-            return
-        with self._lock:
-            if self._closed or self._reap_timer is not None:
-                return
-            timer = threading.Timer(timeout + 0.05, self._reap_tick)
-            timer.daemon = True
-            self._reap_timer = timer
-            timer.start()
-
-    def _reap_tick(self) -> None:
-        with self._lock:
-            self._reap_timer = None
-        self.reap_idle()
-        with self._lock:
-            rearm = bool(self._workers) and not self._closed
-        if rearm:
-            self._schedule_reap()
 
     # -- dispatch ---------------------------------------------------------
     def map_outcomes(
@@ -442,8 +331,7 @@ class WorkerPool:
         if not items:
             return []
         outcomes: List[Optional[Tuple[str, Any]]] = [None] * len(items)
-        # An explicit worker request wins over the core-count default —
-        # exactly like an explicit ``max_workers`` on the legacy executor.
+        # An explicit worker request wins over the core-count default.
         want = max(1, min(len(items), workers if workers else self.size))
         pending: List[int] = list(range(len(items) - 1, -1, -1))
         #: The first dispatch or callback failure, raised after the drain.
@@ -471,7 +359,6 @@ class WorkerPool:
         def handle(worker: _Worker, msg: Tuple, refill: bool = True) -> None:
             kind, tid, payload = msg
             worker.inflight.remove(tid)
-            worker.last_used = time.monotonic()
             if refill and not worker.inflight and pending and error is None:
                 give(worker)
             resolve(tid, ("ok" if kind == "ok" else "raise", payload))
@@ -529,7 +416,6 @@ class WorkerPool:
                 reap(worker)
             else:
                 worker.inflight.extend(take)
-                worker.last_used = time.monotonic()
                 _count(registry, "pool.batches")
                 _count(registry, "pool.tasks", len(take))
 
@@ -576,114 +462,10 @@ class WorkerPool:
 
         if registry is not None:
             registry.gauge("pool.workers").set(len(self._workers))
-        self._schedule_reap()
         if error is not None:
             raise error
         return [outcome or ("crash", "task never completed")
                 for outcome in outcomes]
-
-    # -- sharded dispatch (the serve plane) -------------------------------
-    def shard_workers(self, count: int,
-                      registry: Optional[MetricsRegistry] = None) -> int:
-        """Ensure *count* workers exist and pin the first *count*.
-
-        Pinned workers host shard-affine stream state for
-        :mod:`repro.serve`: shard *i* always dispatches to worker *i*, so
-        those workers must neither be idle-reaped nor have their list
-        positions shift underneath the shard map.  Returns *count*.
-        """
-        with self._lock:
-            if self._closed:
-                raise _broken("worker pool is shut down")
-            while len(self._workers) < count:
-                self._spawn(registry)
-            for worker in self._workers[:count]:
-                worker.pinned = True
-        return count
-
-    def shard_unpin(self) -> None:
-        """Release every pin (a serve engine shutting down)."""
-        with self._lock:
-            for worker in self._workers:
-                worker.pinned = False
-        self._schedule_reap()
-
-    def _shard_worker(self, index: int) -> _Worker:
-        worker = self._workers[index]
-        if not worker.pinned:
-            raise _broken(
-                f"shard {index} is not pinned (call shard_workers first)")
-        return worker
-
-    def shard_send(self, index: int, fn: Callable[[Any], Any],
-                   tag: int, item: Any,
-                   registry: Optional[MetricsRegistry] = None) -> None:
-        """Send one tagged batch to the pinned worker *index*.
-
-        Re-ships the ("setup", env, handles) envelope only when the
-        driver's ``REPRO_*`` environment or the shm handle table changed
-        since this worker's last dispatch — the steady-state serve path
-        pays one pipe write per batch.  Raises ``OSError`` when the
-        worker's pipe is gone (caller reaps via :meth:`shard_replace`).
-        """
-        worker = self._shard_worker(index)
-        env = {k: v for k, v in os.environ.items()
-               if k.startswith(_ENV_PREFIX)}
-        version, handles = shm.current_table()
-        sig = (version, tuple(sorted(env.items())))
-        if worker.setup_sig != sig:
-            self._setup(worker, version, handles, env)
-        worker.conn.send(("batch", fn, [(tag, item)]))
-        worker.inflight.append(tag)
-        worker.last_used = time.monotonic()
-        _count(registry, "pool.batches")
-
-    def shard_recv(self, index: int) -> Tuple[str, int, Any]:
-        """Receive one ``(kind, tag, payload)`` reply from worker *index*.
-
-        Blocks until a reply is available (callers multiplex readiness
-        over :meth:`shard_conn` / :meth:`shard_sentinel` first).  Raises
-        ``EOFError``/``OSError`` when the worker died.
-        """
-        worker = self._shard_worker(index)
-        kind, tag, payload = worker.conn.recv()
-        if tag in worker.inflight:
-            worker.inflight.remove(tag)
-        worker.last_used = time.monotonic()
-        return kind, tag, payload
-
-    def shard_conn(self, index: int):
-        """Driver-side pipe end for shard *index* (for selectors)."""
-        return self._shard_worker(index).conn
-
-    def shard_sentinel(self, index: int):
-        """Process sentinel fd for shard *index* (readable on death)."""
-        return self._shard_worker(index).proc.sentinel
-
-    def shard_replace(self, index: int,
-                      registry: Optional[MetricsRegistry] = None
-                      ) -> List[int]:
-        """Replace a dead shard worker in place.
-
-        Returns the tags that were in flight on the casualty (their
-        frames must be failed by the caller — the replacement worker
-        starts with no stream state and restores from snapshots on
-        demand).
-        """
-        with self._lock:
-            worker = self._workers[index]
-            lost = list(worker.inflight)
-            worker.inflight.clear()
-        self._stop_worker(worker)
-        with self._lock:
-            if self._closed:
-                raise _broken("worker pool is shut down")
-            replacement = _Worker(self._ctx)
-            replacement.pinned = True
-            self._workers[index] = replacement
-        _count(registry, "pool.spawn")
-        _count(registry, "pool.replace")
-        return lost
 
 
 _POOL: Optional[WorkerPool] = None
@@ -816,79 +598,49 @@ def _run_experiments_pooled(
     the caller should run the serial fallback (already counted).
     """
     total = len(names)
-    if pool_mode() == "persistent":
-        tasks = [(pool_worker, (name, kw(name), span_ctx)) for name in names]
-        done = 0
+    tasks = [(pool_worker, (name, kw(name), span_ctx)) for name in names]
+    done = 0
 
-        def on_outcome(tid: int, outcome: Tuple[str, Any]) -> None:
-            nonlocal done
-            if outcome[0] == "ok" and on_progress is not None:
-                done += 1
-                on_progress(done, total)
+    def on_outcome(tid: int, outcome: Tuple[str, Any]) -> None:
+        nonlocal done
+        if outcome[0] == "ok" and on_progress is not None:
+            done += 1
+            on_progress(done, total)
 
-        try:
-            raw = get_pool(registry).map_outcomes(
-                _apply, tasks, workers=min(max_workers, total),
-                registry=registry, on_outcome=on_outcome)
-        except POOL_FAILURES as exc:
-            log.warning("experiment pool failed (%s: %s); "
-                        "falling back to serial execution",
-                        type(exc).__name__, exc)
-            _record_fallback(registry, exc)
-            return None
-        failure: Optional[BaseException] = None
-        for status, value in raw:
-            if status == "crash":
-                failure = _broken(value)
-                break
-            if status == "raise":
-                if isinstance(value, POOL_FAILURES):
-                    failure = value
-                    break
-                raise value
-        if failure is not None:
-            # One casualty discards the whole parallel attempt: the
-            # serial fallback recomputes everything, so committing any
-            # partial snapshot would double-count its metrics.
-            log.warning("experiment pool failed (%s: %s); "
-                        "falling back to serial execution",
-                        type(failure).__name__, failure)
-            _record_fallback(registry, failure)
-            return None
-        results = {name: raw[i][1][0] for i, name in enumerate(names)}
-        if registry is not None:
-            for _status, (_result, snapshot) in raw:
-                registry.merge_dict(snapshot)
-        return results
-
-    from concurrent.futures import ProcessPoolExecutor
-
-    results = {}
-    snapshots: List[Dict] = []
     try:
-        with ProcessPoolExecutor(
-                max_workers=min(max_workers, total)) as pool:
-            futures = {name: pool.submit(pool_worker, name, kw(name),
-                                         span_ctx)
-                       for name in names}
-            done = 0
-            for name in names:
-                result, snapshot = futures[name].result()
-                results[name] = result
-                snapshots.append(snapshot)
-                done += 1
-                if on_progress is not None:
-                    on_progress(done, total)
+        raw = get_pool(registry).map_outcomes(
+            _apply, tasks, workers=min(max_workers, total),
+            registry=registry, on_outcome=on_outcome)
     except POOL_FAILURES as exc:
         log.warning("experiment pool failed (%s: %s); "
                     "falling back to serial execution",
                     type(exc).__name__, exc)
         _record_fallback(registry, exc)
         return None
+    failure: Optional[BaseException] = None
+    for status, value in raw:
+        if status == "crash":
+            failure = _broken(value)
+            break
+        if status == "raise":
+            if isinstance(value, POOL_FAILURES):
+                failure = value
+                break
+            raise value
+    if failure is not None:
+        # One casualty discards the whole parallel attempt: the
+        # serial fallback recomputes everything, so committing any
+        # partial snapshot would double-count its metrics.
+        log.warning("experiment pool failed (%s: %s); "
+                    "falling back to serial execution",
+                    type(failure).__name__, failure)
+        _record_fallback(registry, failure)
+        return None
+    results = {name: raw[i][1][0] for i, name in enumerate(names)}
     if registry is not None:
-        for snapshot in snapshots:
+        for _status, (_result, snapshot) in raw:
             registry.merge_dict(snapshot)
-    return {name: results[name] for name in names}
+    return results
 
 
 def parallel_map(
@@ -912,88 +664,52 @@ def parallel_map(
         max_workers = default_workers()
     total = len(items)
     if max_workers > 1 and total > 1:
-        if pool_mode() == "persistent":
-            done = 0
+        done = 0
 
-            def on_outcome(tid: int, outcome: Tuple[str, Any]) -> None:
-                nonlocal done
-                if outcome[0] == "ok" and on_progress is not None:
-                    done += 1
-                    on_progress(done, total)
+        def on_outcome(tid: int, outcome: Tuple[str, Any]) -> None:
+            nonlocal done
+            if outcome[0] == "ok" and on_progress is not None:
+                done += 1
+                on_progress(done, total)
 
-            try:
-                raw = get_pool(registry).map_outcomes(
-                    fn, items, workers=min(max_workers, total),
-                    registry=registry, batch=_auto_batch(total, max_workers),
-                    on_outcome=on_outcome)
-            except POOL_FAILURES as exc:
-                log.warning("parallel_map pool failed (%s: %s); "
-                            "falling back to serial execution",
-                            type(exc).__name__, exc)
-                _record_fallback(registry, exc)
-            else:
-                results: List = [None] * total
-                failed: List[int] = []
-                failure: Optional[BaseException] = None
-                for i, (status, value) in enumerate(raw):
-                    if status == "ok":
-                        results[i] = value
-                    elif (status == "raise"
-                          and not isinstance(value, POOL_FAILURES)):
-                        raise value
-                    else:
-                        failed.append(i)
-                        if failure is None:
-                            failure = (value if isinstance(value,
-                                                           BaseException)
-                                       else _broken(value))
-                if failed:
-                    log.warning(
-                        "parallel_map lost %d/%d item(s) (%s); re-running "
-                        "them serially, keeping the rest",
-                        len(failed), total, failure)
-                    _record_fallback(registry, failure)
-                    _count(registry, "parallel.salvaged",
-                           total - len(failed))
-                    for i in failed:
-                        results[i] = fn(items[i])
-                        if on_progress is not None:
-                            done += 1
-                            on_progress(done, total)
-                return results
+        try:
+            raw = get_pool(registry).map_outcomes(
+                fn, items, workers=min(max_workers, total),
+                registry=registry, batch=_auto_batch(total, max_workers),
+                on_outcome=on_outcome)
+        except POOL_FAILURES as exc:
+            log.warning("parallel_map pool failed (%s: %s); "
+                        "falling back to serial execution",
+                        type(exc).__name__, exc)
+            _record_fallback(registry, exc)
         else:
-            from concurrent.futures import ProcessPoolExecutor
-
-            futures: List = []
-            try:
-                with ProcessPoolExecutor(
-                        max_workers=min(max_workers, total)) as pool:
-                    futures = [pool.submit(fn, item) for item in items]
-                    results = []
-                    for i, future in enumerate(futures):
-                        results.append(future.result())
-                        if on_progress is not None:
-                            on_progress(i + 1, total)
-                    return results
-            except POOL_FAILURES as exc:
-                log.warning("parallel_map pool failed (%s: %s); "
-                            "falling back to serial execution",
-                            type(exc).__name__, exc)
-                _record_fallback(registry, exc)
-                salvaged: Dict[int, Any] = {}
-                for i, future in enumerate(futures):
-                    if (future.done() and not future.cancelled()
-                            and future.exception() is None):
-                        salvaged[i] = future.result()
-                if salvaged:
-                    _count(registry, "parallel.salvaged", len(salvaged))
-                    results = []
-                    for i, item in enumerate(items):
-                        results.append(salvaged[i] if i in salvaged
-                                       else fn(item))
-                        if on_progress is not None:
-                            on_progress(i + 1, total)
-                    return results
+            results: List = [None] * total
+            failed: List[int] = []
+            failure: Optional[BaseException] = None
+            for i, (status, value) in enumerate(raw):
+                if status == "ok":
+                    results[i] = value
+                elif status == "raise" and not isinstance(value,
+                                                          POOL_FAILURES):
+                    raise value
+                else:
+                    failed.append(i)
+                    if failure is None:
+                        failure = (value if isinstance(value, BaseException)
+                                   else _broken(value))
+            if failed:
+                log.warning(
+                    "parallel_map lost %d/%d item(s) (%s); re-running "
+                    "them serially, keeping the rest",
+                    len(failed), total, failure)
+                _record_fallback(registry, failure)
+                _count(registry, "parallel.salvaged", total - len(failed))
+                for i in failed:
+                    results[i] = fn(items[i])
+                    if on_progress is not None:
+                        done += 1
+                        on_progress(done, total)
+            return results
     results = []
     for i, item in enumerate(items):
         results.append(fn(item))
@@ -1041,16 +757,15 @@ def run_tasks(
     runs items in-process, where an escaping exception propagates to the
     caller.
 
-    Under the persistent pool a crash is contained to the worker that ran
-    the item: siblings finish normally and the dead worker is replaced
-    in-place, so a crash round no longer breaks innocent futures.
+    A crash is contained to the worker that ran the item: siblings finish
+    normally and the dead worker is replaced in place.
 
     *on_result* ``(index, outcome)`` runs in the driver as each outcome
-    arrives, on every path (persistent pool, ``fresh`` executor,
-    in-process).  An exception it raises stops further dispatch and
-    propagates once the tasks already running have finished; it is never
-    mistaken for a pool failure.  A pool that fails part-way leaves its
-    finished outcomes in place and only the rest run in-process.
+    arrives, on both paths (the pool and in-process).  An exception it
+    raises stops further dispatch and propagates once the tasks already
+    running have finished; it is never mistaken for a pool failure.  A
+    pool that fails part-way leaves its finished outcomes in place and
+    only the rest run in-process.
     """
     items = list(items)
     outcomes: List[Optional[Tuple[str, Any]]] = [None] * len(items)
@@ -1068,75 +783,38 @@ def run_tasks(
     if max_workers is None:
         max_workers = default_workers()
     if max_workers > 1 and items:
-        if pool_mode() == "persistent":
-            raised: List[BaseException] = []
+        raised: List[BaseException] = []
 
-            def on_outcome(tid: int, outcome: Tuple[str, Any]) -> None:
-                status, value = outcome
-                if status == "ok":
-                    mapped = (TASK_OK, value)
-                elif status == "crash":
-                    mapped = (TASK_CRASH, value)
-                elif isinstance(value, POOL_FAILURES):
-                    mapped = (TASK_CRASH,
-                              f"{type(value).__name__}: {value}")
-                    log.warning("task %d crashed its worker (%s)",
-                                tid, mapped[1])
-                else:
-                    raised.append(value)
-                    return
-                report(tid, mapped)
-
-            try:
-                get_pool(registry).map_outcomes(
-                    fn, items, workers=min(max_workers, len(items)),
-                    registry=registry, on_outcome=on_outcome)
-            except POOL_FAILURES as exc:
-                if callback_errors:
-                    raise callback_errors[0]
-                log.warning("task pool could not run (%s: %s); "
-                            "running tasks in-process",
-                            type(exc).__name__, exc)
-                _record_fallback(registry, exc)
+        def on_outcome(tid: int, outcome: Tuple[str, Any]) -> None:
+            status, value = outcome
+            if status == "ok":
+                mapped = (TASK_OK, value)
+            elif status == "crash":
+                mapped = (TASK_CRASH, value)
+            elif isinstance(value, POOL_FAILURES):
+                mapped = (TASK_CRASH, f"{type(value).__name__}: {value}")
+                log.warning("task %d crashed its worker (%s)", tid, mapped[1])
             else:
-                if raised:
-                    raise raised[0]
-                return [outcome or (TASK_CRASH, "task never completed")
-                        for outcome in outcomes]
+                raised.append(value)
+                return
+            report(tid, mapped)
+
+        try:
+            get_pool(registry).map_outcomes(
+                fn, items, workers=min(max_workers, len(items)),
+                registry=registry, on_outcome=on_outcome)
+        except POOL_FAILURES as exc:
+            if callback_errors:
+                raise callback_errors[0]
+            log.warning("task pool could not run (%s: %s); "
+                        "running tasks in-process",
+                        type(exc).__name__, exc)
+            _record_fallback(registry, exc)
         else:
-            from concurrent.futures import ProcessPoolExecutor, as_completed
-
-            try:
-                pool = ProcessPoolExecutor(max_workers=min(max_workers,
-                                                           len(items)))
-            except POOL_FAILURES as exc:
-                log.warning("task pool could not start (%s: %s); "
-                            "running tasks in-process",
-                            type(exc).__name__, exc)
-                _record_fallback(registry, exc)
-            else:
-                with pool:
-                    futures = {pool.submit(fn, item): i
-                               for i, item in enumerate(items)}
-                    try:
-                        for future in as_completed(futures):
-                            i = futures[future]
-                            try:
-                                outcome = (TASK_OK, future.result())
-                            except POOL_FAILURES as exc:
-                                outcome = (TASK_CRASH,
-                                           f"{type(exc).__name__}: {exc}")
-                                log.warning("task %d crashed its worker "
-                                            "(%s)", i, outcome[1])
-                            report(i, outcome)
-                    except BaseException:
-                        pool.shutdown(wait=True, cancel_futures=True)
-                        raise
-                # Every future resolves through as_completed (a broken pool
-                # resolves the stragglers exceptionally), so no slot is
-                # None.
-                return [outcome or (TASK_CRASH, "task never completed")
-                        for outcome in outcomes]
+            if raised:
+                raise raised[0]
+            return [outcome or (TASK_CRASH, "task never completed")
+                    for outcome in outcomes]
     for i, item in enumerate(items):
         if outcomes[i] is None:
             report(i, (TASK_OK, fn(item)))

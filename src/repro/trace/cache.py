@@ -436,24 +436,8 @@ def default_cache(metrics=None) -> TraceCache:
 #: recently used entry (``cache.mem_evict``).
 _MEM_CACHE: "OrderedDict[tuple, PackedTrace]" = OrderedDict()
 
-#: Default memo capacity; ``REPRO_MEM_CACHE`` overrides per process (a
-#: many-stream serve worker tunes memo pressure up or down; ``0``
-#: disables the memo without touching the disk/shm tiers).
+#: Memo capacity, in traces per process.
 _MEM_CAP = 12
-
-
-def mem_cache_cap() -> int:
-    """Effective memo capacity: ``REPRO_MEM_CACHE`` when it parses as a
-    non-negative integer, :data:`_MEM_CAP` otherwise."""
-    raw = os.environ.get("REPRO_MEM_CACHE", "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            return _MEM_CAP
-        if cap >= 0:
-            return cap
-    return _MEM_CAP
 
 
 def _memo_get(memo_key: tuple, metrics) -> Optional[PackedTrace]:
@@ -470,16 +454,7 @@ def _memo_get(memo_key: tuple, metrics) -> Optional[PackedTrace]:
 
 
 def _memo_put(memo_key: tuple, trace: PackedTrace, metrics) -> None:
-    cap = mem_cache_cap()
-    if cap <= 0:
-        # Memo disabled: anything resident (the cap may have just been
-        # lowered) is evicted, and the new trace is not retained.
-        while _MEM_CACHE:
-            _MEM_CACHE.popitem(last=False)
-            if metrics is not None:
-                metrics.counter("cache.mem_evict").inc()
-        return
-    while len(_MEM_CACHE) >= cap:
+    while len(_MEM_CACHE) >= _MEM_CAP:
         _MEM_CACHE.popitem(last=False)
         if metrics is not None:
             metrics.counter("cache.mem_evict").inc()

@@ -2,7 +2,7 @@
 
 Each scenario is a :class:`WorkloadSpec` (or a composing subclass), so
 the whole stack — trace cache, shm plane, fused kernels, pipeline,
-campaign scheduler, serve plane — consumes it like any benchmark.
+campaign scheduler — consumes it like any benchmark.
 
 ``EXPECTATIONS`` carries fidelity-style accuracy bands per scenario and
 predictor, calibrated at :data:`EXPECT_LENGTH` instructions with each

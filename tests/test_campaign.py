@@ -381,7 +381,9 @@ class TestScheduler:
 
     def test_interrupt_resume_no_recompute(self, tmp_path):
         """Acceptance: stop after 2 of 4 cells, resume, and the completed
-        records are byte-identical — zero re-executions."""
+        records are byte-identical — zero re-executions.  One record and
+        the index are rewritten in the indented form older versions
+        wrote; they still load and resume."""
         spec = mini_spec()
         store = CampaignStore(tmp_path / "c")
         store.create(spec)
@@ -389,6 +391,9 @@ class TestScheduler:
         assert first.completed == 2 and first.stopped_early
         done = sorted(store.cells_dir.glob("*.json"))
         assert len(done) == 2
+        for path in (done[0], store.index_path):
+            old = json.loads(path.read_text())
+            path.write_text(json.dumps(old, indent=2) + "\n")
         before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns)
                   for p in done}
 
@@ -404,6 +409,10 @@ class TestScheduler:
             path = store.cells_dir / name
             assert path.read_bytes() == payload
             assert path.stat().st_mtime_ns == mtime
+        # The resumed cells are written as single-line JSON.
+        for path in store.cells_dir.glob("*.json"):
+            if path.name not in before:
+                assert path.read_text().count("\n") == 1
 
         store3 = CampaignStore(tmp_path / "c")
         third = scheduler(store3.open(), store3).run()

@@ -387,16 +387,6 @@ class TestRegistryIntegration:
                 "matrix": {"bench": ["no-such-workload"]},
             })
 
-    def test_serve_loadgen_payloads_from_imported(self, tmp_path):
-        from repro.serve.loadgen import stream_pairs
-
-        import_trace(_csv_source(tmp_path / "sv.csv", rows=64), name="sv")
-        payloads = stream_pairs(3, 40, ("sv",))
-        assert len(payloads) == 3
-        for stream_id, pcs, values in payloads:
-            assert stream_id.endswith("-sv")
-            assert len(pcs) == len(values) == 40
-
     def test_ingest_telemetry_counters(self, tmp_path):
         from repro.telemetry import MetricsRegistry
 

@@ -19,7 +19,6 @@ from repro.harness.parallel import (
     default_workers,
     get_pool,
     parallel_map,
-    pool_mode,
     run_experiments,
     run_tasks,
     shutdown_pool,
@@ -219,9 +218,6 @@ class TestPersistentPool:
     """The default worker plane: long-lived workers reused across calls,
     dead workers replaced in place, crash blast radius of one worker."""
 
-    def test_default_mode_is_persistent(self):
-        assert pool_mode() == "persistent"
-
     def test_pool_created_once_and_reused(self):
         shutdown_pool()
         reg = MetricsRegistry()
@@ -354,93 +350,6 @@ class TestStreamingCallbacks:
         assert outcomes[2][1] == driver
 
 
-class TestFreshMode:
-    """REPRO_POOL=fresh keeps the legacy pool-per-call executor alive
-    (the benchmark baseline) with identical results."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL", "fresh")
-
-    def test_parallel_map_matches(self):
-        items = list(range(8))
-        assert parallel_map(_square, items, max_workers=2) == [
-            x * x for x in items]
-
-    def test_run_tasks_matches(self):
-        assert run_tasks(_double, [1, 2, 3], max_workers=2) == [
-            (TASK_OK, 2), (TASK_OK, 4), (TASK_OK, 6)]
-
-    def test_legacy_salvage_keeps_finished_results(self):
-        """The fresh-mode fallback also reuses futures that completed
-        before the pool broke instead of re-running everything."""
-        reg = MetricsRegistry()
-        driver = os.getpid()
-        items = [(driver, 1), (driver, 2), (driver, -1), (driver, 3)]
-        results = parallel_map(_exit_if_child, items, max_workers=2,
-                               registry=reg)
-        assert results == [10, 20, -10, 30]
-        counters = reg.as_dict()["counters"]
-        assert counters["parallel.fallback"] == 1
-
-
-def _shard_echo(payload):
-    return (os.getpid(), payload)
-
-
-class TestIdleReaping:
-    """REPRO_POOL_IDLE_S: idle workers are stopped after the timeout,
-    in-flight and pinned (shard-hosting) workers never are."""
-
-    def test_reap_idle_stops_idle_workers(self):
-        shutdown_pool()
-        reg = MetricsRegistry()
-        run_tasks(_double, [1, 2], max_workers=2, registry=reg)
-        pool = get_pool()
-        assert len(pool.worker_pids()) == 2
-        assert pool.reap_idle(registry=reg, timeout=0.0) == 2
-        assert pool.worker_pids() == []
-        assert reg.as_dict()["counters"]["pool.reaped"] == 2
-        # The pool itself survives: the next call just respawns workers.
-        assert run_tasks(_double, [3], max_workers=1,
-                         registry=reg) == [(TASK_OK, 6)]
-        shutdown_pool()
-
-    def test_reap_skips_pinned_shard_workers(self):
-        shutdown_pool()
-        reg = MetricsRegistry()
-        pool = get_pool(reg)
-        pool.shard_workers(1, reg)
-        run_tasks(_double, [1, 2], max_workers=2, registry=reg)
-        reaped = pool.reap_idle(registry=reg, timeout=0.0)
-        assert reaped >= 1  # the unpinned sibling(s) went away
-        assert len(pool.worker_pids()) == 1  # the shard host survived
-        pool.shard_unpin()
-        assert pool.reap_idle(registry=reg, timeout=0.0) == 1
-        shutdown_pool()
-
-    def test_timer_reaps_without_further_calls(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_IDLE_S", "0.15")
-        shutdown_pool()
-        run_tasks(_double, [1, 2], max_workers=2)
-        pool = get_pool()
-        deadline = time.time() + 10
-        while pool.worker_pids() and time.time() < deadline:
-            time.sleep(0.05)
-        assert pool.worker_pids() == []
-        shutdown_pool()
-
-    def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_POOL_IDLE_S", raising=False)
-        from repro.harness.parallel import pool_idle_timeout
-
-        assert pool_idle_timeout() is None
-        monkeypatch.setenv("REPRO_POOL_IDLE_S", "junk")
-        assert pool_idle_timeout() is None
-        monkeypatch.setenv("REPRO_POOL_IDLE_S", "2.5")
-        assert pool_idle_timeout() == 2.5
-
-
 class TestConcurrentShutdown:
     def test_shutdown_pool_concurrent_callers(self):
         """atexit and an explicit caller racing shutdown_pool() must both
@@ -478,50 +387,3 @@ class TestConcurrentShutdown:
         shutdown_pool()
         pool.close()  # second close on the same instance: a no-op
         assert pool.closed
-
-
-class TestShardAPI:
-    """Pinned shard workers: stable index ↔ worker affinity, setup-once
-    dispatch, in-place replacement after a crash."""
-
-    def test_shard_send_recv_round_trip(self):
-        shutdown_pool()
-        reg = MetricsRegistry()
-        pool = get_pool(reg)
-        pool.shard_workers(2, reg)
-        pool.shard_send(0, _shard_echo, 7, {"hello": 1}, reg)
-        pool.shard_send(1, _shard_echo, 8, {"hello": 2}, reg)
-        kind0, tag0, (pid0, payload0) = pool.shard_recv(0)
-        kind1, tag1, (pid1, payload1) = pool.shard_recv(1)
-        assert (kind0, tag0, payload0) == ("ok", 7, {"hello": 1})
-        assert (kind1, tag1, payload1) == ("ok", 8, {"hello": 2})
-        assert pid0 != pid1  # distinct worker processes
-
-        # Affinity: the same shard index reaches the same process.
-        pool.shard_send(0, _shard_echo, 9, {}, reg)
-        _kind, _tag, (pid0_again, _p) = pool.shard_recv(0)
-        assert pid0_again == pid0
-        shutdown_pool()
-
-    def test_shard_replace_preserves_index(self):
-        shutdown_pool()
-        reg = MetricsRegistry()
-        pool = get_pool(reg)
-        pool.shard_workers(2, reg)
-        pool.shard_send(0, _shard_echo, 1, {}, reg)
-        _k, _t, (pid0, _p) = pool.shard_recv(0)
-        pool.shard_send(1, _shard_echo, 2, {}, reg)
-        _k, _t, (pid1, _p) = pool.shard_recv(1)
-
-        # Kill shard 0's process; replace must keep shard 1 untouched.
-        pool.shard_send(0, _shard_echo, 3, {}, reg)
-        os.kill(pid0, 9)
-        lost = pool.shard_replace(0, reg)
-        assert lost == [3]
-        pool.shard_send(0, _shard_echo, 4, {}, reg)
-        _k, _t, (new_pid0, _p) = pool.shard_recv(0)
-        assert new_pid0 != pid0
-        pool.shard_send(1, _shard_echo, 5, {}, reg)
-        _k, _t, (pid1_again, _p) = pool.shard_recv(1)
-        assert pid1_again == pid1
-        shutdown_pool()

@@ -48,21 +48,6 @@ class TestCalibrateFig8:
         assert len(bench_rows) >= 6
 
 
-class TestServeSmoke:
-    def test_full_loop_exits_clean(self):
-        """Daemon up, bounded verified loadgen, clean shutdown, no
-        leaks — the same loop the serve-smoke CI job runs."""
-        env = dict(os.environ, PYTHONPATH=str(REPO / "src"),
-                   SERVE_SMOKE_STREAMS="4", SERVE_SMOKE_EVENTS="150")
-        proc = subprocess.run(
-            [sys.executable, str(SCRIPTS / "serve_smoke.py")],
-            capture_output=True, text=True, env=env, cwd=REPO,
-            timeout=300)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "4/4 streams bit-identical" in proc.stdout
-        assert "no orphans, no shm leaks" in proc.stdout
-
-
 class TestStabilityCheck:
     def test_single_seed_small_trace(self):
         """One seed at a length where the Figure 8 ordering holds: the

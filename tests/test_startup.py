@@ -23,11 +23,11 @@ from repro.cli import COMMANDS, main
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 #: Never loaded by ``import repro.cli``.
-CLI_DENY = ("repro.serve", "repro.pipeline", "repro.harness.experiments",
+CLI_DENY = ("repro.pipeline", "repro.harness.experiments",
             "repro.campaign.scheduler", "repro.core.kernels", "repro.bench",
             "repro.analysis", "multiprocessing")
 #: Never loaded by ``repro campaign report``.
-REPORT_DENY = ("repro.pipeline", "repro.serve", "repro.harness.experiments",
+REPORT_DENY = ("repro.pipeline", "repro.harness.experiments",
                "repro.core.kernels", "repro.trace.synthetic")
 
 #: Every leaf of the command table, as typed on the command line.
@@ -38,8 +38,7 @@ LEAVES = [[name] if command.actions is None else [name, action]
 
 def _env():
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
-    for key in ("REPRO_SHM", "REPRO_POOL"):
-        env.pop(key, None)
+    env.pop("REPRO_SHM", None)
     return env
 
 
@@ -132,7 +131,7 @@ class TestReachability:
             "simulate", "run-all", "cache stats", "cache warm",
             "cache clear", "campaign run", "campaign resume",
             "campaign status", "campaign report", "bench history",
-            "bench check", "serve", "loadgen"])
+            "bench check"])
 
     @pytest.mark.parametrize("leaf", LEAVES, ids=" ".join)
     def test_help_exits_zero(self, leaf, capsys):
@@ -145,27 +144,17 @@ class TestReachability:
         """Defaults resolved by the handlers are the ones --help quotes."""
         from repro.bench.history import (DEFAULT_BASELINE_N,
                                          DEFAULT_HISTORY_PATH)
-        from repro.serve.engine import ServeConfig
 
-        def help_of(*leaf):
-            with pytest.raises(SystemExit):
-                main([*leaf, "--help"])
-            return " ".join(capsys.readouterr().out.split())
-
-        serve = help_of("serve")
-        config = ServeConfig()
-        for value in (config.port, config.shards, config.high_water,
-                      config.batch_events):
-            assert f"(default {value})" in serve
-        assert f"(default {config.port})" in help_of("loadgen")
-        check = help_of("bench", "check")
+        with pytest.raises(SystemExit):
+            main(["bench", "check", "--help"])
+        check = " ".join(capsys.readouterr().out.split())
         assert f"(default {DEFAULT_BASELINE_N})" in check
         assert f"(default {DEFAULT_HISTORY_PATH})" in check
 
     def test_every_module_imports(self):
         names = [m.name for m in pkgutil.walk_packages(repro.__path__,
                                                        "repro.")]
-        assert "repro.cli" in names and "repro.serve.engine" in names
+        assert "repro.cli" in names and "repro.campaign.scheduler" in names
         for name in names:
             if name != "repro.__main__":  # the entry script runs main()
                 import_module(name)
@@ -215,4 +204,4 @@ class TestReachability:
                             f"{target}.{alias.name}")), (module, target,
                                                          alias.name)
                         checked += 1
-        assert checked > 100
+        assert checked > 90
